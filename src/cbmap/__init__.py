@@ -32,8 +32,6 @@ from .linalg_core import (
     zscore_normalize,
 )
 from .membership import (
-    MembershipMatrix,
-    SigmaEstimate,
     frobenius_loss,
     loss_gradient,
     membership_matrix,
@@ -52,10 +50,8 @@ __all__ = [
     "HoldoutSpec",
     "KmeansConfig",
     "LabeledDataset",
-    "MembershipMatrix",
     "MetricReport",
     "PcaModel",
-    "SigmaEstimate",
     "__version__",
     "assign_labels",
     "euclidean_distance_matrix",

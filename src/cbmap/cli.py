@@ -26,7 +26,7 @@ from .datasets import (
     write_csv,
 )
 from .embedder import CbmapConfig, fit, load_model, save_model, transform
-from .linalg_core import as_data_matrix
+from .linalg_core import apply_scaler, as_data_matrix
 from .metrics import evaluate
 
 DATASET_NAMES = ("s_curve", "swiss_roll", "sphere", "cuboids")
@@ -71,14 +71,6 @@ def _parse_int_list(text, what):
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
-
-
-def _apply_scaler(x, scaler):
-    mean, std = scaler
-    out = np.zeros_like(x)
-    nz = std > 0.0
-    out[:, nz] = (x[:, nz] - mean[nz]) / std[nz]
-    return out
 
 
 def _peek_header(path):
@@ -186,7 +178,7 @@ def cmd_fit(args, argv) -> None:
     scaler = None
     if args.standardize:
         scaler = (x.mean(axis=0), x.std(axis=0))
-        x = _apply_scaler(x, scaler)
+        x = apply_scaler(x, *scaler)
     k = _resolve_k(args.k, x.shape[0])
     cfg = CbmapConfig(
         n_clusters=k,
@@ -241,7 +233,7 @@ def cmd_transform(args, argv) -> None:
     ds = load_csv(args.input, has_header=not args.no_header, label_column=label_column)
     x = ds.data
     if model.feature_scaler is not None:
-        x = _apply_scaler(x, model.feature_scaler)
+        x = apply_scaler(x, *model.feature_scaler)
     y = transform(model, x, iters=args.iters, seed=args.seed)
 
     out = Path(args.out)

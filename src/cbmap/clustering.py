@@ -105,6 +105,8 @@ def _kmeans_plusplus(x, k, rng):
     closest_sq = euclidean_distance_matrix(x, centers[:1])[:, 0] ** 2
     for j in range(1, k):
         total = closest_sq.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared distances overflow float64; rescale the input")
         if total > 0:
             idx = int(rng.choice(n, p=closest_sq / total))
         else:
@@ -116,13 +118,14 @@ def _kmeans_plusplus(x, k, rng):
     return centers
 
 
-def _group_means(x, labels, k, previous):
-    """Per-cluster means; clusters with no points keep their previous center."""
+def update_centers(x, labels, previous) -> np.ndarray:
+    """Mean of the rows of ``x`` per label; a label with no rows keeps its ``previous`` center."""
     centers = previous.copy()
-    counts = np.bincount(labels, minlength=k)
+    counts = np.bincount(labels, minlength=len(previous))
+    occupied = counts > 0
     for col in range(x.shape[1]):
-        sums = np.bincount(labels, weights=x[:, col], minlength=k)
-        centers[counts > 0, col] = sums[counts > 0] / counts[counts > 0]
+        sums = np.bincount(labels, weights=x[:, col], minlength=len(previous))
+        centers[occupied, col] = sums[occupied] / counts[occupied]
     return centers
 
 
@@ -160,7 +163,7 @@ def _lloyd_once(x, k, max_iters, rng, trace=None):
     for _ in range(max_iters):
         if trace is not None:
             trace.append(_inertia(x, centers, labels))
-        centers = _group_means(x, labels, k, previous=centers)
+        centers = update_centers(x, labels, centers)
         new_labels = assign_labels(x, centers)
         centers, new_labels = _reseed_empty(x, centers, new_labels)
         converged = np.array_equal(new_labels, labels)

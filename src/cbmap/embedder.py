@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import membership as mb
-from .clustering import KmeansConfig, kmeans_fit
+from .clustering import KmeansConfig, kmeans_fit, update_centers
 from .linalg_core import (
-    PcaModel,
     as_data_matrix,
     euclidean_distance_matrix,
     pca_fit,
@@ -78,7 +77,6 @@ class CbmapModel:
     sigma_high: float
     sigma_low: float
     config: CbmapConfig
-    center_pca: PcaModel | None = None
     feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) applied upstream
 
 
@@ -128,29 +126,18 @@ def init_embedding(labels, centers_low, noise_std: float, seed) -> np.ndarray:
     return centers_low[labels] + noise
 
 
-def update_centers(y, labels, k: int, previous=None) -> np.ndarray:
-    """Mean embedding position per cluster label.
+def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_index):
+    """One Adam step of the points toward the high-dimensional memberships.
 
-    A label with no points keeps its previous center (required whenever that
-    can happen, hence the ``previous`` argument).
+    Shared by the fit and transform loops; returns the new positions, the
+    new Adam state and the loss at the positions before the step.
     """
-    y = as_data_matrix(y, "y")
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=k)
-    if previous is None:
-        if (counts == 0).any():
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise ValueError(f"cluster {missing} has no points and no previous center was given")
-        centers = np.empty((k, y.shape[1]))
-    else:
-        centers = np.asarray(previous, dtype=np.float64).copy()
-        if centers.shape != (k, y.shape[1]):
-            raise ValueError(f"previous centers have shape {centers.shape}, expected {(k, y.shape[1])}")
-    occupied = counts > 0
-    for col in range(y.shape[1]):
-        sums = np.bincount(labels, weights=y[:, col], minlength=k)
-        centers[occupied, col] = sums[occupied] / counts[occupied]
-    return centers
+    dist_low = euclidean_distance_matrix(y, centers_low)
+    u_low = mb.membership_matrix(dist_low, sigma)
+    loss = mb.frobenius_loss(u_low, u_high)
+    grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
+    y, state = adam_update(y, grad, state, learning_rate, step_index)
+    return y, state, loss
 
 
 def fit(x, cfg: CbmapConfig) -> FitResult:
@@ -182,14 +169,12 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
 
     dist_high = euclidean_distance_matrix(x, centers_high)
     s_high = mb.sigma_high(dist_high)
-    u_high = mb.membership_matrix(dist_high, s_high.value)
+    u_high = mb.membership_matrix(dist_high, s_high)
 
     # Independent streams for the center draw and the point-noise draw.
     seed_centers, seed_points = np.random.SeedSequence(cfg.seed).spawn(2)
-    center_pca = None
     if cfg.center_init == "pca" and cfg.n_clusters > cfg.out_dim:
-        center_pca = pca_fit(centers_high, cfg.out_dim)
-        centers_low = pca_transform(center_pca, centers_high)
+        centers_low = pca_transform(pca_fit(centers_high, cfg.out_dim), centers_high)
     else:
         if cfg.center_init == "pca":
             warnings.warn(
@@ -206,23 +191,17 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     state = AdamState.zeros(y.shape)
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
-        dist_low = euclidean_distance_matrix(y, centers_low)
-        u_low = mb.membership_matrix(dist_low, s_low.value)
-        loss = mb.frobenius_loss(u_low, u_high)
-        history[it] = loss
-        grad = mb.loss_gradient(y, centers_low, s_low.value, u_low, u_high, loss)
-        y, state = adam_update(y, grad, state, cfg.learning_rate, it + 1)
-        centers_low = update_centers(y, labels, cfg.n_clusters, previous=centers_low)
-        centers_low = zscore_normalize(centers_low)
+        y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state,
+                                              cfg.learning_rate, it + 1)
+        centers_low = zscore_normalize(update_centers(y, labels, centers_low))
         s_low = mb.sigma_low(centers_low)
 
     model = CbmapModel(
         centers_high=centers_high,
         centers_low=centers_low,
-        sigma_high=s_high.value,
-        sigma_low=s_low.value,
+        sigma_high=s_high,
+        sigma_low=s_low,
         config=replace(cfg, clustering=kcfg),
-        center_pca=center_pca,
     )
     return FitResult(embedding=y, loss_history=history, model=model, labels=labels)
 
@@ -249,17 +228,12 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
     # membership in a row underflows to zero
     nearest = np.argmin(dist_high, axis=1)
 
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    noise = rng.standard_normal((x.shape[0], model.centers_low.shape[1])) * cfg.init_noise_std
-    y = model.centers_low[nearest] + noise
-
+    y = init_embedding(nearest, model.centers_low, cfg.init_noise_std,
+                       cfg.seed if seed is None else seed)
     state = AdamState.zeros(y.shape)
     for it in range(iters):
-        dist_low = euclidean_distance_matrix(y, model.centers_low)
-        u_low = mb.membership_matrix(dist_low, model.sigma_low)
-        loss = mb.frobenius_loss(u_low, u_high)
-        grad = mb.loss_gradient(y, model.centers_low, model.sigma_low, u_low, u_high, loss)
-        y, state = adam_update(y, grad, state, cfg.learning_rate, it + 1)
+        y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
+                                    cfg.learning_rate, it + 1)
     return y
 
 
@@ -295,7 +269,7 @@ def model_to_dict(model: CbmapModel) -> dict:
     """JSON-ready document; center arrays are flattened row-major."""
     k, d = model.centers_high.shape
     m = model.centers_low.shape[1]
-    doc = {
+    return {
         "version": MODEL_FORMAT_VERSION,
         "k": k,
         "d": d,
@@ -305,14 +279,7 @@ def model_to_dict(model: CbmapModel) -> dict:
         "sigma_high": float(model.sigma_high),
         "sigma_low": float(model.sigma_low),
         "config": _config_to_dict(model.config, model.feature_scaler),
-        "center_pca": None,
     }
-    if model.center_pca is not None:
-        doc["center_pca"] = {
-            "mean": [float(v) for v in model.center_pca.mean],
-            "components": [float(v) for v in model.center_pca.components.ravel()],
-        }
-    return doc
 
 
 def save_model(model: CbmapModel, path) -> None:
@@ -327,7 +294,10 @@ def save_model(model: CbmapModel, path) -> None:
 
 
 def _reshape(values, shape, what):
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"model field {what!r} must be a list of numbers") from None
     expected = int(np.prod(shape))
     if arr.ndim != 1 or arr.shape[0] != expected:
         raise ValueError(f"model field {what!r} has {arr.size} values, expected {expected}")
@@ -336,8 +306,26 @@ def _reshape(values, shape, what):
     return arr.reshape(shape)
 
 
+def _typed(doc, key, kind, where=""):
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError):
+        name = where + key
+        raise ValueError(f"model field {name!r} must be {kind.__name__}: {doc[key]!r}") from None
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"model field {what!r} must be an object, got {value!r}")
+    return value
+
+
 def load_model(path) -> CbmapModel:
-    """Read a model written by :func:`save_model`, validating version and shapes."""
+    """Read a model written by :func:`save_model`, validating version, types and shapes.
+
+    Keys the format does not define (such as the ``center_pca`` basis older
+    writers stored) are ignored.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -348,46 +336,38 @@ def load_model(path) -> CbmapModel:
             f"{path}: unsupported model version {version!r}; expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        k, d, m = int(doc["k"]), int(doc["d"]), int(doc["m"])
-        cfg_doc = doc["config"]
+        k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
+        cfg_doc = _object(doc["config"], "config")
         kcfg = None
         if cfg_doc.get("clustering") is not None:
-            kc = cfg_doc["clustering"]
+            kc = _object(cfg_doc["clustering"], "config.clustering")
             kcfg = KmeansConfig(
-                k=int(kc["k"]),
+                k=_typed(kc, "k", int, "config.clustering."),
                 mode=str(kc["mode"]),
-                batch_size=int(kc["batch_size"]),
-                max_iters=int(kc["max_iters"]),
-                seed=int(kc["seed"]),
-                n_init=int(kc["n_init"]),
+                batch_size=_typed(kc, "batch_size", int, "config.clustering."),
+                max_iters=_typed(kc, "max_iters", int, "config.clustering."),
+                seed=_typed(kc, "seed", int, "config.clustering."),
+                n_init=_typed(kc, "n_init", int, "config.clustering."),
             )
         cfg = CbmapConfig(
-            n_clusters=int(cfg_doc["n_clusters"]),
-            out_dim=int(cfg_doc["out_dim"]),
-            max_iter=int(cfg_doc["max_iter"]),
-            learning_rate=float(cfg_doc["learning_rate"]),
+            n_clusters=_typed(cfg_doc, "n_clusters", int, "config."),
+            out_dim=_typed(cfg_doc, "out_dim", int, "config."),
+            max_iter=_typed(cfg_doc, "max_iter", int, "config."),
+            learning_rate=_typed(cfg_doc, "learning_rate", float, "config."),
             center_init=str(cfg_doc["center_init"]),
             clustering=kcfg,
-            init_noise_std=float(cfg_doc["init_noise_std"]),
-            seed=int(cfg_doc["seed"]),
+            init_noise_std=_typed(cfg_doc, "init_noise_std", float, "config."),
+            seed=_typed(cfg_doc, "seed", int, "config."),
         )
         scaler = None
         if cfg_doc.get("feature_scaler") is not None:
-            sc = cfg_doc["feature_scaler"]
+            sc = _object(cfg_doc["feature_scaler"], "config.feature_scaler")
             scaler = (
                 _reshape(sc["mean"], (d,), "feature_scaler.mean"),
                 _reshape(sc["std"], (d,), "feature_scaler.std"),
             )
-        center_pca = None
-        if doc.get("center_pca") is not None:
-            cp = doc["center_pca"]
-            center_pca = PcaModel(
-                mean=_reshape(cp["mean"], (d,), "center_pca.mean"),
-                components=_reshape(cp["components"], (m, d), "center_pca.components"),
-                explained_variance=None,
-            )
-        sigma_high = float(doc["sigma_high"])
-        sigma_low = float(doc["sigma_low"])
+        sigma_high = _typed(doc, "sigma_high", float)
+        sigma_low = _typed(doc, "sigma_low", float)
         if sigma_high <= 0 or sigma_low <= 0:
             raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
         return CbmapModel(
@@ -396,7 +376,6 @@ def load_model(path) -> CbmapModel:
             sigma_high=sigma_high,
             sigma_low=sigma_low,
             config=cfg,
-            center_pca=center_pca,
             feature_scaler=scaler,
         )
     except KeyError as exc:

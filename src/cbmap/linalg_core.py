@@ -31,13 +31,12 @@ class PcaModel:
     ----------
     mean : (d,) column means of the training data.
     components : (m, d) orthonormal rows sorted by explained variance.
-    explained_variance : (m,) non-increasing variances, or None when the
-        model was reloaded from disk (variances are not persisted).
+    explained_variance : (m,) non-increasing variances.
     """
 
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray | None
+    explained_variance: np.ndarray
 
 
 def euclidean_distance_matrix(a, b) -> np.ndarray:
@@ -67,8 +66,11 @@ def zscore_normalize(m) -> np.ndarray:
     Columns with zero variance map to all-zeros instead of dividing by zero.
     """
     m = as_data_matrix(m, "matrix")
-    mean = m.mean(axis=0)
-    std = m.std(axis=0)
+    return apply_scaler(m, m.mean(axis=0), m.std(axis=0))
+
+
+def apply_scaler(m, mean, std) -> np.ndarray:
+    """Column-wise ``(m - mean) / std``; columns whose ``std`` is zero map to all-zeros."""
     out = np.zeros_like(m)
     nz = std > 0.0
     out[:, nz] = (m[:, nz] - mean[nz]) / std[nz]

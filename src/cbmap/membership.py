@@ -7,8 +7,6 @@ matrix to the high-dimensional one under a Frobenius loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg_core import as_data_matrix, euclidean_distance_matrix
@@ -18,27 +16,7 @@ from .linalg_core import as_data_matrix, euclidean_distance_matrix
 GRADIENT_LOSS_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SigmaEstimate:
-    """Gaussian bandwidth plus the space ("high" or "low") it was estimated in."""
-
-    value: float
-    space: str
-
-
-@dataclass(frozen=True)
-class MembershipMatrix:
-    """Point-to-center memberships in (0, 1] with the bandwidth that produced them."""
-
-    values: np.ndarray
-    sigma: float
-
-
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, MembershipMatrix) else np.asarray(u, dtype=np.float64)
-
-
-def sigma_high(distances) -> SigmaEstimate:
+def sigma_high(distances) -> float:
     """Bandwidth for the original space.
 
     For each center, take the median of its distances to every point (median
@@ -51,10 +29,10 @@ def sigma_high(distances) -> SigmaEstimate:
     if not np.any(d > 0):
         raise ValueError("all point-to-center distances are zero; cannot estimate a bandwidth")
     medians = np.median(d, axis=0)
-    return SigmaEstimate(value=float(medians.mean()), space="high")
+    return float(medians.mean())
 
 
-def sigma_low(centers) -> SigmaEstimate:
+def sigma_low(centers) -> float:
     """Bandwidth for the embedded space.
 
     For each center, take the median of its distances to the other k-1
@@ -69,22 +47,21 @@ def sigma_low(centers) -> SigmaEstimate:
     value = float(np.median(off_diagonal, axis=1).mean())
     if value <= 0.0:
         raise ValueError("all centers are identical; bandwidth would be zero")
-    return SigmaEstimate(value=value, space="low")
+    return value
 
 
-def membership_matrix(distances, sigma: float) -> MembershipMatrix:
+def membership_matrix(distances, sigma: float) -> np.ndarray:
     """Gaussian membership exp(-dist^2 / (2 sigma^2)) for every point-center pair."""
     d = as_data_matrix(distances, "distances")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    values = np.exp(-(d * d) / (2.0 * sigma * sigma))
-    return MembershipMatrix(values=values, sigma=float(sigma))
+    return np.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
 def frobenius_loss(u_low, u_high) -> float:
     """Frobenius norm of the difference between two membership matrices."""
-    a = _values(u_low)
-    b = _values(u_high)
+    a = np.asarray(u_low, dtype=np.float64)
+    b = np.asarray(u_high, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"membership shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
@@ -107,8 +84,8 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     c = as_data_matrix(c_low, "c_low")
     if y.shape[1] != c.shape[1]:
         raise ValueError(f"column mismatch: y has shape {y.shape}, c_low has shape {c.shape}")
-    ul = _values(u_low)
-    uh = _values(u_high)
+    ul = np.asarray(u_low, dtype=np.float64)
+    uh = np.asarray(u_high, dtype=np.float64)
     if ul.shape != uh.shape or ul.shape != (y.shape[0], c.shape[0]):
         raise ValueError(
             f"membership shapes {ul.shape} and {uh.shape} do not match "

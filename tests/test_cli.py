@@ -145,6 +145,15 @@ class TestFit:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_input_is_a_one_line_error(self, tmp_path, capsys):
+        data, _ = two_blobs(30, seed=15)
+        table = tmp_path / "huge.csv"
+        write_csv(table, data * 1e200)
+        code = main(["fit", str(table), "--k", "3", "-o", str(tmp_path / "emb.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: squared distances overflow float64; rescale the input"]
+
     def test_standardize_is_recorded_and_applied(self, tmp_path):
         data, _ = two_blobs(50, seed=20)
         table = tmp_path / "blobs.csv"
@@ -204,6 +213,32 @@ class TestTransform:
         code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
         assert code == 1
         assert "expected 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("config", None),
+        ("config", []),
+        ("k", None),
+        ("sigma_high", None),
+        ("config.seed", None),
+        ("config.clustering", 5),
+        ("config.feature_scaler", 3),
+    ])
+    def test_mistyped_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys,
+                                                      field, value):
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        *parents, key = field.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
 
     def test_same_seed_gives_identical_outputs(self, fitted, tmp_path):
         table, _, model_path = fitted

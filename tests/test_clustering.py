@@ -130,6 +130,34 @@ class TestKmeansFit:
         assert out.inertia == pytest.approx(0.0, abs=1e-20)
 
 
+class TestUpdateCenters:
+    def test_singleton_clusters_return_points(self):
+        y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = cl.update_centers(y, np.array([0, 1, 2]), np.zeros((3, 2)))
+        np.testing.assert_array_equal(out, y)
+
+    def test_two_point_cluster_mean(self):
+        y = np.array([[0.0, 0.0], [2.0, 2.0]])
+        out = cl.update_centers(y, np.array([0, 0]), np.zeros((1, 2)))
+        np.testing.assert_array_equal(out, [[1.0, 1.0]])
+
+    def test_matches_group_by_oracle(self):
+        rng = np.random.default_rng(41)
+        y = rng.normal(size=(12, 2))
+        labels = rng.integers(0, 4, size=12)
+        labels[:4] = [0, 1, 2, 3]  # keep every cluster occupied
+        out = cl.update_centers(y, labels, np.zeros((4, 2)))
+        for j in range(4):
+            np.testing.assert_allclose(out[j], y[labels == j].mean(axis=0), atol=1e-12)
+
+    def test_absent_label_keeps_previous_center(self):
+        y = np.array([[1.0, 1.0], [3.0, 3.0]])
+        previous = np.array([[0.0, 0.0], [9.0, 9.0], [-5.0, -5.0]])
+        out = cl.update_centers(y, np.array([0, 1]), previous)
+        np.testing.assert_array_equal(out[2], previous[2])
+        np.testing.assert_array_equal(out[0], y[0])
+
+
 class TestKmeansConfig:
     @pytest.mark.parametrize(
         "kwargs",

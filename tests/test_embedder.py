@@ -1,6 +1,7 @@
 """Tests for the fit/transform loop, Adam, and model serialization."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -83,37 +84,6 @@ class TestInitEmbedding:
             em.init_embedding(np.array([0, 2]), np.zeros((2, 2)), 0.1, seed=0)
 
 
-class TestUpdateCenters:
-    def test_singleton_clusters_return_points(self):
-        y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(em.update_centers(y, np.array([0, 1, 2]), 3), y)
-
-    def test_two_point_cluster_mean(self):
-        y = np.array([[0.0, 0.0], [2.0, 2.0]])
-        out = em.update_centers(y, np.array([0, 0]), 1)
-        np.testing.assert_array_equal(out, [[1.0, 1.0]])
-
-    def test_matches_group_by_oracle(self):
-        rng = np.random.default_rng(41)
-        y = rng.normal(size=(12, 2))
-        labels = rng.integers(0, 4, size=12)
-        labels[:4] = [0, 1, 2, 3]  # keep every cluster occupied
-        out = em.update_centers(y, labels, 4)
-        for j in range(4):
-            np.testing.assert_allclose(out[j], y[labels == j].mean(axis=0), atol=1e-12)
-
-    def test_absent_label_keeps_previous_center(self):
-        y = np.array([[1.0, 1.0], [3.0, 3.0]])
-        previous = np.array([[0.0, 0.0], [9.0, 9.0], [-5.0, -5.0]])
-        out = em.update_centers(y, np.array([0, 1]), 3, previous=previous)
-        np.testing.assert_array_equal(out[2], previous[2])
-        np.testing.assert_array_equal(out[0], y[0])
-
-    def test_absent_label_without_previous_rejected(self):
-        with pytest.raises(ValueError, match="cluster 2"):
-            em.update_centers(np.zeros((2, 2)), np.array([0, 1]), 3)
-
-
 class TestFit:
     def test_blobs_loss_decreases_and_centers_track_clusters(self, blob_fit):
         data, result = blob_fit
@@ -162,7 +132,7 @@ class TestFit:
 
         def high_memberships(x, model):
             d = euclidean_distance_matrix(x, model.centers_high)
-            return mb.membership_matrix(d, model.sigma_high).values
+            return mb.membership_matrix(d, model.sigma_high)
 
         np.testing.assert_allclose(
             high_memberships(2.0 * data, scaled.model),
@@ -179,17 +149,19 @@ class TestFit:
         assert a.embedding.tobytes() == b.embedding.tobytes()
         assert a.loss_history.tobytes() == b.loss_history.tobytes()
 
-    def test_random_init_skips_center_pca(self):
-        data, _ = two_blobs(60, seed=13)
-        result = cbmap.fit(data, cbmap.CbmapConfig(n_clusters=4, center_init="random",
-                                                   max_iter=50, seed=0))
-        assert result.model.center_pca is None
-
     def test_pca_init_falls_back_when_k_too_small(self):
         data, _ = two_blobs(30, seed=14)
         with pytest.warns(UserWarning, match="falling back to random"):
-            result = cbmap.fit(data, cbmap.CbmapConfig(n_clusters=2, max_iter=30, seed=0))
-        assert result.model.center_pca is None
+            cbmap.fit(data, cbmap.CbmapConfig(n_clusters=2, max_iter=30, seed=0))
+
+    def test_overflowing_input_is_a_named_error(self):
+        data, _ = two_blobs(30, seed=15)
+        cfg = cbmap.CbmapConfig(n_clusters=3, max_iter=20, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(cbmap.fit(data * 1e150, cfg).embedding))
+            with pytest.raises(ValueError, match="squared distances overflow float64"):
+                cbmap.fit(data * 1e160, cfg)
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -238,7 +210,7 @@ class TestTransform:
         j = 2
         x_new = model.centers_high[j : j + 1]
         d = euclidean_distance_matrix(x_new, model.centers_high)
-        u = mb.membership_matrix(d, model.sigma_high).values
+        u = mb.membership_matrix(d, model.sigma_high)
         assert int(np.argmax(u[0])) == j
         y = cbmap.transform(model, x_new)
         assert int(assign_labels(y, model.centers_low)[0]) == j
@@ -305,10 +277,24 @@ class TestModelSerialization:
         assert loaded.sigma_high == result.model.sigma_high
         assert loaded.sigma_low == result.model.sigma_low
         assert loaded.config == result.model.config
-        np.testing.assert_array_equal(loaded.center_pca.mean, result.model.center_pca.mean)
-        np.testing.assert_array_equal(loaded.center_pca.components,
-                                      result.model.center_pca.components)
         assert loaded.feature_scaler is None
+
+    def test_file_with_center_pca_basis_still_loads(self, blob_fit, tmp_path):
+        # earlier writers stored the PCA basis of the high-dimensional centers
+        data, result = blob_fit
+        path = tmp_path / "model.json"
+        cbmap.save_model(result.model, path)
+        doc = json.loads(path.read_text())
+        assert "center_pca" not in doc
+        basis = cbmap.pca_fit(result.model.centers_high, 2)
+        doc["center_pca"] = {"mean": basis.mean.tolist(),
+                             "components": basis.components.ravel().tolist()}
+        old = tmp_path / "old.model.json"
+        old.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(
+            cbmap.transform(cbmap.load_model(old), data[:10]),
+            cbmap.transform(cbmap.load_model(path), data[:10]),
+        )
 
     def test_reloaded_model_transforms_identically(self, blob_fit, tmp_path):
         data, result = blob_fit

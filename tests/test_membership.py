@@ -36,17 +36,15 @@ def _analytic_gradient(y, c, sigma, u_high):
 
 class TestSigmaHigh:
     def test_constant_matrix(self):
-        est = mb.sigma_high(np.full((5, 3), 2.7))
-        assert est.value == pytest.approx(2.7)
-        assert est.space == "high"
+        assert mb.sigma_high(np.full((5, 3), 2.7)) == pytest.approx(2.7)
 
     def test_hand_computed_column_medians(self):
         d = np.array([[1.0, 3.0], [2.0, 4.0], [3.0, 5.0], [4.0, 6.0]])
         # column medians (2.5, 4.5), averaged
-        assert mb.sigma_high(d).value == pytest.approx(3.5)
+        assert mb.sigma_high(d) == pytest.approx(3.5)
 
     def test_single_center(self):
-        assert mb.sigma_high([[0.0], [2.0], [4.0]]).value == pytest.approx(2.0)
+        assert mb.sigma_high([[0.0], [2.0], [4.0]]) == pytest.approx(2.0)
 
     def test_all_zero_distances_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -61,20 +59,18 @@ class TestSigmaHigh:
     def test_scale_equivariance(self, s):
         rng = np.random.default_rng(21)
         d = rng.uniform(0.1, 5.0, size=(6, 4))
-        base = mb.sigma_high(d).value
-        assert mb.sigma_high(s * d).value == pytest.approx(s * base, rel=1e-12)
+        base = mb.sigma_high(d)
+        assert mb.sigma_high(s * d) == pytest.approx(s * base, rel=1e-12)
 
 
 class TestSigmaLow:
     def test_two_centers(self):
-        est = mb.sigma_low([[0.0, 0.0], [3.0, 4.0]])
-        assert est.value == pytest.approx(5.0)
-        assert est.space == "low"
+        assert mb.sigma_low([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
 
     def test_equilateral_triangle(self):
         side = 2.0
         centers = np.array([[0.0, 0.0], [side, 0.0], [side / 2.0, side * np.sqrt(3.0) / 2.0]])
-        assert mb.sigma_low(centers).value == pytest.approx(side)
+        assert mb.sigma_low(centers) == pytest.approx(side)
 
     def test_matches_per_center_median_oracle(self):
         rng = np.random.default_rng(22)
@@ -83,7 +79,7 @@ class TestSigmaLow:
         for j in range(4):
             dists = [np.linalg.norm(centers[j] - centers[i]) for i in range(4) if i != j]
             medians.append(np.median(dists))
-        assert mb.sigma_low(centers).value == pytest.approx(np.mean(medians), rel=1e-12)
+        assert mb.sigma_low(centers) == pytest.approx(np.mean(medians), rel=1e-12)
 
     def test_single_center_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -97,19 +93,19 @@ class TestSigmaLow:
 class TestMembershipMatrix:
     def test_zero_distance_gives_one(self):
         out = mb.membership_matrix([[0.0]], 1.7)
-        assert out.values[0, 0] == pytest.approx(1.0)
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_half_membership_distance(self):
         # exp(-d^2 / (2 sigma^2)) = 1/2 at d = sigma * sqrt(2 ln 2)
         sigma = 0.8
         d = sigma * np.sqrt(2.0 * np.log(2.0))
         out = mb.membership_matrix([[d]], sigma)
-        assert out.values[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert out[0, 0] == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(23)
         d = rng.uniform(0.0, 4.0, size=(5, 3))
-        out = mb.membership_matrix(d, 1.3).values
+        out = mb.membership_matrix(d, 1.3)
         for i in range(5):
             for j in range(3):
                 expected = np.exp(-(d[i, j] ** 2) / (2.0 * 1.3**2))
@@ -117,12 +113,12 @@ class TestMembershipMatrix:
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(24)
-        out = mb.membership_matrix(rng.uniform(0.0, 10.0, size=(8, 4)), 0.9).values
+        out = mb.membership_matrix(rng.uniform(0.0, 10.0, size=(8, 4)), 0.9)
         assert np.all(out > 0.0) and np.all(out <= 1.0)
 
     def test_monotone_in_distance(self):
         d = np.linspace(0.0, 5.0, 50)[None, :]
-        vals = mb.membership_matrix(d, 1.1).values[0]
+        vals = mb.membership_matrix(d, 1.1)[0]
         assert np.all(np.diff(vals) < 0.0)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
@@ -136,8 +132,8 @@ class TestMembershipMatrix:
         rng = np.random.default_rng(25)
         d = rng.uniform(0.0, 5.0, size=(6, 3))
         sigma = 1.4
-        base = mb.membership_matrix(d, sigma).values
-        scaled = mb.membership_matrix(s * d, s * sigma).values
+        base = mb.membership_matrix(d, sigma)
+        scaled = mb.membership_matrix(s * d, s * sigma)
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
