@@ -26,7 +26,7 @@ from .datasets import (
     write_csv,
 )
 from .embedder import CbmapConfig, fit, load_model, save_model, transform
-from .linalg_core import apply_scaler, as_data_matrix
+from .linalg_core import apply_scaler, as_data_matrix, fit_scaler
 from .metrics import evaluate
 
 DATASET_NAMES = ("s_curve", "swiss_roll", "sphere", "cuboids")
@@ -177,7 +177,7 @@ def cmd_fit(args, argv) -> None:
     x = ds.data
     scaler = None
     if args.standardize:
-        scaler = (x.mean(axis=0), x.std(axis=0))
+        scaler = fit_scaler(x)
         x = apply_scaler(x, *scaler)
     k = _resolve_k(args.k, x.shape[0])
     cfg = CbmapConfig(

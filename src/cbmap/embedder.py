@@ -307,11 +307,15 @@ def _reshape(values, shape, what):
 
 
 def _typed(doc, key, kind, where=""):
+    name = where + key
     try:
-        return kind(doc[key])
+        value = kind(doc[key])
     except (TypeError, ValueError):
-        name = where + key
         raise ValueError(f"model field {name!r} must be {kind.__name__}: {doc[key]!r}") from None
+    # json reads the NaN and Infinity literals, which pass every range check
+    if kind is float and not np.isfinite(value):
+        raise ValueError(f"model field {name!r} must be finite: {value!r}")
+    return value
 
 
 def _object(value, what):

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cap on scratch elements per chunk when forming (rows, k, d) difference
-# tensors; keeps peak extra memory near 32 MB regardless of input size.
-_CHUNK_ELEMS = 4_194_304
+# Rows per block are chosen so that rows * k * d stays at most this many
+# float64 elements (256 KB): a block's difference tensor, or its (rows, k)
+# output when columns are summed one at a time, then stays in cache.
+_CHUNK_ELEMS = 32_768
 
 
 def as_data_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -43,7 +44,11 @@ def euclidean_distance_matrix(a, b) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
     Computed from explicit coordinate differences (not the expanded quadratic
-    form), so small distances do not lose precision to cancellation.
+    form), so small distances do not lose precision to cancellation. Rows of
+    ``a`` are taken in cache-sized blocks. When there are fewer columns than
+    centers (``d < k``) each block sums its squared differences one column at
+    a time; otherwise it reduces a (rows, k, d) difference block. Squared
+    distances beyond the float64 range become ``inf`` without a warning.
     """
     a = as_data_matrix(a, "a")
     b = as_data_matrix(b, "b")
@@ -53,20 +58,41 @@ def euclidean_distance_matrix(a, b) -> np.ndarray:
     k = b.shape[0]
     out = np.empty((n, k))
     step = max(1, _CHUNK_ELEMS // (k * d))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        diff = a[start:stop, None, :] - b[None, :, :]
-        np.sqrt(np.einsum("ijl,ijl->ij", diff, diff), out=out[start:stop])
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            rows = a[start:start + step]
+            block = out[start:start + step]
+            if d < k:
+                np.square(rows[:, 0, None] - b[:, 0], out=block)
+                for col in range(1, d):
+                    block += np.square(rows[:, col, None] - b[:, col])
+            else:
+                diff = rows[:, None, :] - b
+                np.einsum("ijl,ijl->ij", diff, diff, out=block)
+            np.sqrt(block, out=block)
     return out
 
 
 def zscore_normalize(m) -> np.ndarray:
     """Column-wise z-score using the population standard deviation.
 
-    Columns with zero variance map to all-zeros instead of dividing by zero.
+    Columns whose entries are all equal map to all-zeros instead of dividing
+    by zero.
     """
     m = as_data_matrix(m, "matrix")
-    return apply_scaler(m, m.mean(axis=0), m.std(axis=0))
+    return apply_scaler(m, *fit_scaler(m))
+
+
+def fit_scaler(m) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and population standard deviations of ``m``, for :func:`apply_scaler`.
+
+    A column whose entries are all equal gets a standard deviation of exactly
+    zero. Computed, it can be rounding residue instead (1.4e-17 for three
+    entries of 0.1), and dividing by that would scale the column to +-1.
+    """
+    std = m.std(axis=0)
+    std[m.max(axis=0) == m.min(axis=0)] = 0.0
+    return m.mean(axis=0), std
 
 
 def apply_scaler(m, mean, std) -> np.ndarray:

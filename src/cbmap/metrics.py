@@ -14,6 +14,10 @@ import numpy as np
 
 from .linalg_core import as_data_matrix, euclidean_distance_matrix, pca_fit, pca_transform
 
+# Test points per kNN block are chosen so that a block's test-by-train
+# distances stay at most this many float64 elements (2 MB).
+_KNN_BLOCK_ELEMS = 262_144
+
 
 @dataclass(frozen=True)
 class HoldoutSpec:
@@ -91,21 +95,42 @@ def _stratified_split(labels, split: HoldoutSpec):
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def _majority_vote(neighbor_labels, nearest_label) -> int:
-    values, counts = np.unique(neighbor_labels, return_counts=True)
-    winners = values[counts == counts.max()]
-    if winners.size == 1:
-        return int(winners[0])
-    # vote tie: the single nearest neighbor decides
-    return int(nearest_label)
+def _nearest_neighbors(dist, k: int) -> np.ndarray:
+    """Column indices of the ``k`` smallest entries of each row of ``dist``.
+
+    They are ordered by distance and then by index, exactly as the first
+    ``k`` columns of a stable argsort. ``argpartition`` picks them; a row
+    whose k-th distance is tied with a further column falls back to the
+    stable argsort, since the partition may keep any of the tied columns.
+    """
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    part_dist = np.take_along_axis(dist, part, axis=1)
+    nearest = np.take_along_axis(part, np.lexsort((part, part_dist), axis=1), axis=1)
+    tied = np.count_nonzero(dist <= part_dist.max(axis=1)[:, None], axis=1) > k
+    if tied.any():
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
+def _majority_vote(neighbor_labels) -> np.ndarray:
+    """Per row, the label most of the neighbors carry; on a vote tie, the nearest one's."""
+    # tally[i, j]: how many of row i's neighbors share neighbor j's label
+    tally = np.count_nonzero(neighbor_labels[:, :, None] == neighbor_labels[:, None, :], axis=2)
+    top = tally.max(axis=1)
+    n_winners = np.count_nonzero(tally == top[:, None], axis=1) // top
+    rows = np.arange(neighbor_labels.shape[0])
+    return np.where(n_winners == 1, neighbor_labels[rows, tally.argmax(axis=1)],
+                    neighbor_labels[:, 0])
 
 
 def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> float:
     """Label accuracy of a k-nearest-neighbor vote on a stratified holdout.
 
     The embedding is split per class (default 80/20, fixed seed); each test
-    point is classified by majority vote over its k nearest training points,
-    with vote ties broken by the single nearest neighbor's label.
+    point is classified by majority vote over its k nearest training points
+    (ordered by distance, then by training index), with vote ties broken by
+    the single nearest neighbor's label. Test points are taken in blocks, so
+    memory stays bounded whatever the number of test points.
     """
     y = as_data_matrix(y, "y")
     labels = np.asarray(labels)
@@ -117,15 +142,14 @@ def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> flo
         raise ValueError(f"need at least k+1={k + 1} points, got {y.shape[0]}")
     split = split or HoldoutSpec()
     train_idx, test_idx = _stratified_split(labels, split)
-    train_labels = labels[train_idx]
+    train, train_labels = y[train_idx], labels[train_idx]
     k_eff = min(k, train_idx.size)
-    dist = euclidean_distance_matrix(y[test_idx], y[train_idx])
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
+    step = max(1, _KNN_BLOCK_ELEMS // train_idx.size)
     correct = 0
-    for i, row in enumerate(order):
-        neighbors = train_labels[row]
-        predicted = _majority_vote(neighbors, neighbors[0])
-        correct += predicted == labels[test_idx[i]]
+    for start in range(0, test_idx.size, step):
+        block = test_idx[start:start + step]
+        nearest = _nearest_neighbors(euclidean_distance_matrix(y[block], train), k_eff)
+        correct += int(np.count_nonzero(_majority_vote(train_labels[nearest]) == labels[block]))
     return correct / test_idx.size
 
 

@@ -166,6 +166,28 @@ class TestFit:
         np.testing.assert_allclose(scaler["mean"], data.mean(axis=0))
         np.testing.assert_allclose(scaler["std"], data.std(axis=0))
 
+    def test_standardize_maps_a_constant_column_to_zeros(self, tmp_path):
+        # np.std of a column of 0.1 is rounding residue (2.8e-17), not 0
+        data, _ = two_blobs(50, seed=20)
+        data = np.column_stack([data, np.full(data.shape[0], 0.1)])
+        table = tmp_path / "blobs.csv"
+        write_csv(table, data)
+        out = tmp_path / "emb.csv"
+        assert main(["fit", str(table), "--k", "4", "--max-iter", "60",
+                     "--standardize", "-o", str(out)]) == 0
+        model = json.loads((tmp_path / "emb.model.json").read_text())
+        std = model["config"]["feature_scaler"]["std"]
+        assert std[3] == 0.0
+        np.testing.assert_allclose(std[:3], data[:, :3].std(axis=0))
+        # the column is ignored: moving it elsewhere leaves the projection unchanged
+        moved = tmp_path / "moved.csv"
+        write_csv(moved, np.column_stack([data[:, :3], np.full(data.shape[0], 5.0)]))
+        projected = [tmp_path / "p_same.csv", tmp_path / "p_moved.csv"]
+        for src, dst in zip((table, moved), projected):
+            assert main(["transform", str(tmp_path / "emb.model.json"), str(src),
+                         "-o", str(dst)]) == 0
+        assert projected[0].read_bytes() == projected[1].read_bytes()
+
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
@@ -239,6 +261,25 @@ class TestTransform:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
+
+    @pytest.mark.parametrize("field", [
+        "sigma_high", "sigma_low", "config.learning_rate", "config.init_noise_std",
+    ])
+    def test_non_finite_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys, field):
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        *parents, key = field.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = float("nan")
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))  # writes the bare NaN literal
+        code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and f"model field '{field}' must be finite" in err[0]
 
     def test_same_seed_gives_identical_outputs(self, fitted, tmp_path):
         table, _, model_path = fitted

@@ -1,5 +1,7 @@
 """Tests for the dense-matrix primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,38 @@ class TestEuclideanDistanceMatrix:
         monkeypatch.setattr(lc, "_CHUNK_ELEMS", 64)  # force many small row chunks
         np.testing.assert_array_equal(lc.euclidean_distance_matrix(a, b), whole)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 256])
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_agrees_with_einsum_oracle_across_blocks(self, d, k):
+        # both the column-by-column (d < k) and the difference-block path,
+        # with enough rows for two full blocks and a partial one
+        rows_per_block = max(1, lc._CHUNK_ELEMS // (k * d))
+        rng = np.random.default_rng(d * 1000 + k)
+        a = rng.normal(size=(2 * rows_per_block + 3, d))
+        b = rng.normal(size=(k, d))
+        diff = a[:, None, :] - b[None, :, :]
+        expected = np.sqrt(np.einsum("ijl,ijl->ij", diff, diff))
+        np.testing.assert_allclose(lc.euclidean_distance_matrix(a, b), expected,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("k", [3, 40])
+    def test_two_columns_equal_the_explicit_formula(self, k):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(1000, 2))
+        b = rng.normal(size=(k, 2))
+        expected = np.sqrt((a[:, 0, None] - b[:, 0]) ** 2 + (a[:, 1, None] - b[:, 1]) ** 2)
+        np.testing.assert_array_equal(lc.euclidean_distance_matrix(a, b), expected)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_overflow_is_inf_without_warning(self, k):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 4)) * 1e160
+        b = rng.normal(size=(k, 4)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lc.euclidean_distance_matrix(a, b)
+        assert np.all(np.isposinf(out))
+
     @given(m=_matrices)
     @settings(max_examples=40, deadline=None)
     def test_self_distance_symmetric_with_zero_diagonal(self, m):
@@ -73,6 +107,14 @@ class TestZscoreNormalize:
         np.testing.assert_array_equal(
             lc.zscore_normalize([[5.0], [5.0], [5.0]]), np.zeros((3, 1))
         )
+
+    def test_column_with_rounding_residue_in_its_std_maps_to_zeros(self):
+        # np.std of three 0.1 entries is 1.4e-17, not 0
+        m = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+        out = lc.zscore_normalize(m)
+        np.testing.assert_array_equal(out[:, 0], np.zeros(3))
+        root = 1.0 / np.sqrt(2.0 / 3.0)
+        np.testing.assert_allclose(out[:, 1], [-root, 0.0, root], atol=1e-12)
 
     def test_symmetric_pair_is_already_normalized(self):
         np.testing.assert_allclose(

@@ -76,6 +76,23 @@ class TestGlobalScore:
             mx.global_score(np.zeros((5, 2)), np.zeros((5, 2)))
 
 
+def _knn_oracle(y, labels, k, split):
+    """kNN accuracy by sorting (distance, training position) pairs in Python."""
+    train_idx, test_idx = mx._stratified_split(labels, split)
+    correct = 0
+    for t in test_idx:
+        dists = sorted((np.linalg.norm(y[t] - y[i]), pos) for pos, i in enumerate(train_idx))
+        nearest = [labels[train_idx[pos]] for _, pos in dists[:k]]
+        tally = {}
+        for lab in nearest:
+            tally[lab] = tally.get(lab, 0) + 1
+        top = max(tally.values())
+        winners = [lab for lab, count in tally.items() if count == top]
+        predicted = winners[0] if len(winners) == 1 else nearest[0]
+        correct += predicted == labels[t]
+    return correct / len(test_idx)
+
+
 class TestKnnAccuracy:
     @pytest.mark.parametrize("split_seed", [0, 1, 2])
     def test_perfectly_separated_clusters(self, split_seed):
@@ -109,6 +126,18 @@ class TestKnnAccuracy:
             predicted = winners[0] if len(winners) == 1 else nearest3[0]
             correct += predicted == labels[t]
         assert result == pytest.approx(correct / len(test_idx))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force_oracle_with_ties(self, k, seed):
+        # duplicate points on a 4x4 integer grid: many neighbors sit at equal
+        # distances, so the k-th nearest is usually tied and index order decides
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 4, size=(120, 2)).astype(np.float64)
+        labels = rng.integers(0, 3, size=120)
+        split = mx.HoldoutSpec(test_fraction=0.3, seed=seed)
+        assert mx.knn_accuracy(y, labels, k=k, split=split) == pytest.approx(
+            _knn_oracle(y, labels, k, split), abs=1e-12)
 
     def test_invariant_under_rigid_motion(self):
         y, labels = disk_blobs([(0.0, 0.0), (2.0, 1.0)], n_per=15, radius=1.0, seed=7)
