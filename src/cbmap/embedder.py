@@ -132,8 +132,13 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     Shared by the fit and transform loops; returns the new positions, the
     new Adam state and the loss at the positions before the step.
     """
-    dist_low = euclidean_distance_matrix(y, centers_low)
-    u_low = mb.membership_matrix(dist_low, sigma)
+    # the memberships exp(-dist^2 / (2 sigma^2)), formed in place from the
+    # squared distances
+    u_low = euclidean_distance_matrix(y, centers_low, squared=True)
+    if not np.isfinite(u_low.max()):
+        raise ValueError("squared point-to-center distances overflow float64; rescale the input")
+    u_low *= -0.5 / (sigma * sigma)
+    np.exp(u_low, out=u_low)
     loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
     y, state = adam_update(y, grad, state, learning_rate, step_index)
@@ -220,6 +225,8 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
         raise ValueError(f"x_new has {x.shape[1]} columns, model expects {d}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
+    if model.sigma_low <= 0:
+        raise ValueError(f"sigma_low must be positive, got {model.sigma_low}")
     cfg = model.config
 
     dist_high = euclidean_distance_matrix(x, model.centers_high)

@@ -8,7 +8,8 @@ import numpy as np
 
 # Rows per block are chosen so that rows * k * d stays at most this many
 # float64 elements (256 KB): a block's difference tensor, or its (rows, k)
-# output when columns are summed one at a time, then stays in cache.
+# output when columns are summed one at a time, then stays in cache. The
+# membership loss and gradient take (rows, k) blocks of the same budget.
 _CHUNK_ELEMS = 32_768
 
 
@@ -40,7 +41,15 @@ class PcaModel:
     explained_variance: np.ndarray
 
 
-def euclidean_distance_matrix(a, b) -> np.ndarray:
+def row_blocks(n: int, row_elems: int):
+    """Slices that cover ``range(n)`` in blocks of rows holding at most
+    ``_CHUNK_ELEMS`` elements in all, for rows of ``row_elems`` elements."""
+    step = max(1, _CHUNK_ELEMS // max(1, row_elems))
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
+def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
     Computed from explicit coordinate differences (not the expanded quadratic
@@ -49,6 +58,9 @@ def euclidean_distance_matrix(a, b) -> np.ndarray:
     centers (``d < k``) each block sums its squared differences one column at
     a time; otherwise it reduces a (rows, k, d) difference block. Squared
     distances beyond the float64 range become ``inf`` without a warning.
+
+    With ``squared=True`` the squared distances are returned, skipping the
+    final square root; the default output is exactly their square root.
     """
     a = as_data_matrix(a, "a")
     b = as_data_matrix(b, "b")
@@ -57,11 +69,10 @@ def euclidean_distance_matrix(a, b) -> np.ndarray:
     n, d = a.shape
     k = b.shape[0]
     out = np.empty((n, k))
-    step = max(1, _CHUNK_ELEMS // (k * d))
     with np.errstate(over="ignore"):
-        for start in range(0, n, step):
-            rows = a[start:start + step]
-            block = out[start:start + step]
+        for block_rows in row_blocks(n, k * d):
+            rows = a[block_rows]
+            block = out[block_rows]
             if d < k:
                 np.square(rows[:, 0, None] - b[:, 0], out=block)
                 for col in range(1, d):
@@ -69,7 +80,8 @@ def euclidean_distance_matrix(a, b) -> np.ndarray:
             else:
                 diff = rows[:, None, :] - b
                 np.einsum("ijl,ijl->ij", diff, diff, out=block)
-            np.sqrt(block, out=block)
+            if not squared:
+                np.sqrt(block, out=block)
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, euclidean_distance_matrix
+from .linalg_core import as_data_matrix, euclidean_distance_matrix, row_blocks
 
 # Below this loss the gradient is defined as exactly zero (the analytic
 # expression divides by the loss).
@@ -59,13 +59,22 @@ def membership_matrix(distances, sigma: float) -> np.ndarray:
 
 
 def frobenius_loss(u_low, u_high) -> float:
-    """Frobenius norm of the difference between two membership matrices."""
+    """Frobenius norm of the difference between two (n, k) membership matrices.
+
+    Squared differences are summed over cache-sized blocks of rows, so no
+    full-size difference matrix is formed.
+    """
     a = np.asarray(u_low, dtype=np.float64)
     b = np.asarray(u_high, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"membership shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.sqrt(np.sum(diff * diff)))
+    if a.ndim != 2:
+        raise ValueError(f"memberships must be 2-D (points x centers), got shape {a.shape}")
+    total = 0.0
+    for rows in row_blocks(*a.shape):
+        diff = a[rows] - b[rows]
+        total += np.einsum("ij,ij->", diff, diff)
+    return float(np.sqrt(total))
 
 
 def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndarray:
@@ -79,6 +88,10 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     between the kernel derivative and the distance derivative, so points that
     sit exactly on a center are well defined. At (numerically) zero loss the
     gradient is the zero matrix.
+
+    Rows are taken in cache-sized blocks: each block forms its weights
+    ``(uL - uH) * uL`` once, and the common factor ``-1 / (loss * sigma**2)``
+    is applied to the whole gradient at the end.
     """
     y = as_data_matrix(y, "y")
     c = as_data_matrix(c_low, "c_low")
@@ -95,5 +108,11 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
         return np.zeros_like(y)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    w = -(ul - uh) * ul / (loss * sigma * sigma)
-    return y * w.sum(axis=1, keepdims=True) - w @ c
+    grad = np.empty_like(y)
+    for rows in row_blocks(*ul.shape):
+        w = ul[rows] - uh[rows]
+        w *= ul[rows]
+        np.multiply(y[rows], w.sum(axis=1, keepdims=True), out=grad[rows])
+        grad[rows] -= w @ c
+    grad *= -1.0 / (loss * sigma * sigma)
+    return grad

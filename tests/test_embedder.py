@@ -11,7 +11,7 @@ import cbmap
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
-from cbmap.linalg_core import euclidean_distance_matrix
+from cbmap.linalg_core import euclidean_distance_matrix, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
 from _util import two_blobs
 
@@ -55,6 +55,46 @@ class TestAdamUpdate:
         with pytest.raises(ValueError, match="step_index"):
             em.adam_update(np.zeros((1, 1)), np.zeros((1, 1)),
                            em.AdamState.zeros((1, 1)), 0.1, 0)
+
+
+def _reference_step(y, centers_low, sigma, u_high, state, learning_rate, step_index):
+    """The descent step composed from the public routines, distances first."""
+    u_low = mb.membership_matrix(euclidean_distance_matrix(y, centers_low), sigma)
+    loss = mb.frobenius_loss(u_low, u_high)
+    grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
+    y, state = em.adam_update(y, grad, state, learning_rate, step_index)
+    return y, state, loss
+
+
+class TestDescentStep:
+    def test_matches_the_composed_reference_over_50_steps(self):
+        rng = np.random.default_rng(61)
+        centers = zscore_normalize(rng.normal(size=(40, 2)))
+        sigma = mb.sigma_low(centers)
+        # enough rows for several distance and membership row blocks
+        target = rng.normal(size=(3000, 2))
+        u_high = mb.membership_matrix(euclidean_distance_matrix(target, centers), sigma)
+        y = ref = target + rng.normal(scale=0.5, size=target.shape)
+        state = ref_state = em.AdamState.zeros(y.shape)
+        losses = []
+        for it in range(1, 51):
+            y, state, loss = em._descent_step(y, centers, sigma, u_high, state, 0.1, it)
+            ref, ref_state, ref_loss = _reference_step(ref, centers, sigma, u_high, ref_state,
+                                                       0.1, it)
+            assert abs(loss - ref_loss) <= 1e-12
+            losses.append(loss)
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-10)
+        assert losses[-1] < 0.5 * losses[0]
+
+    def test_overflowing_squared_distances_raise(self):
+        rng = np.random.default_rng(62)
+        centers = rng.normal(size=(4, 2))
+        y = rng.normal(size=(10, 2)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                em._descent_step(y, centers, 1.0, np.zeros((10, 4)),
+                                 em.AdamState.zeros(y.shape), 0.1, 1)
 
 
 class TestInitEmbedding:
@@ -236,6 +276,43 @@ class TestTransform:
         _, result = blob_fit
         with pytest.raises(ValueError, match="iters"):
             cbmap.transform(result.model, np.zeros((2, 3)), iters=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_sigma_low_rejected(self, blob_fit, sigma):
+        data, result = blob_fit
+        with pytest.raises(ValueError, match="positive"):
+            cbmap.transform(replace(result.model, sigma_low=sigma), data[:5])
+
+
+class TestDegenerateData:
+    """Inputs at the edge of the memberships' range still embed to finite points."""
+
+    def test_transform_far_from_every_center(self, blob_fit):
+        data, result = blob_fit
+        model = result.model
+        far = data[:20] + 1e4
+        dist = euclidean_distance_matrix(far, model.centers_high)
+        assert not np.any(mb.membership_matrix(dist, model.sigma_high))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(cbmap.transform(model, far)))
+
+    def test_fit_on_duplicated_rows(self):
+        data, _ = two_blobs(40, seed=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cbmap.fit(np.vstack([data, data]),
+                               cbmap.CbmapConfig(n_clusters=4, max_iter=60, seed=0))
+        assert np.all(np.isfinite(result.embedding))
+
+    def test_fit_with_one_point_per_cluster(self):
+        data, _ = two_blobs(10, seed=17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cbmap.fit(data, cbmap.CbmapConfig(n_clusters=len(data), max_iter=100,
+                                                       seed=0))
+        assert np.all(np.isfinite(result.embedding))
+        assert result.loss_history[-1] < result.loss_history[0]
 
 
 def _predict_knn(train_emb, train_labels, queries, k=3):

@@ -87,6 +87,29 @@ class TestEuclideanDistanceMatrix:
             out = lc.euclidean_distance_matrix(a, b)
         assert np.all(np.isposinf(out))
 
+    @pytest.mark.parametrize("d, k", [(2, 40), (3, 300), (5, 5), (17, 3)])
+    def test_squared_output_is_the_default_before_its_square_root(self, d, k):
+        # both kernel paths, over two full row blocks and a partial one
+        rows_per_block = max(1, lc._CHUNK_ELEMS // (k * d))
+        rng = np.random.default_rng(d * 1000 + k)
+        a = rng.normal(size=(2 * rows_per_block + 3, d))
+        b = rng.normal(size=(k, d))
+        squared = lc.euclidean_distance_matrix(a, b, squared=True)
+        np.testing.assert_array_equal(np.sqrt(squared), lc.euclidean_distance_matrix(a, b))
+        diff = a[:, None, :] - b[None, :, :]
+        np.testing.assert_allclose(squared, np.einsum("ijl,ijl->ij", diff, diff),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_squared_overflow_is_inf_without_warning(self, k):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 4)) * 1e160
+        b = rng.normal(size=(k, 4)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lc.euclidean_distance_matrix(a, b, squared=True)
+        assert np.all(np.isposinf(out))
+
     @given(m=_matrices)
     @settings(max_examples=40, deadline=None)
     def test_self_distance_symmetric_with_zero_diagonal(self, m):

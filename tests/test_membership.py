@@ -34,6 +34,19 @@ def _analytic_gradient(y, c, sigma, u_high):
     return mb.loss_gradient(y, c, sigma, u_low, u_high, loss), loss
 
 
+def _unblocked_loss_and_gradient(y, c, sigma, u_low, u_high):
+    """The loss and gradient formulas on whole matrices, scaling the weights first."""
+    diff = u_low - u_high
+    loss = np.sqrt(np.sum(diff * diff))
+    w = -diff * u_low / (loss * sigma * sigma)
+    return loss, y * w.sum(axis=1, keepdims=True) - w @ c
+
+
+def _rows_over_blocks(k):
+    """Row count for (n, k) memberships: two full row blocks and a partial one."""
+    return 2 * max(1, lc._CHUNK_ELEMS // k) + 3
+
+
 class TestSigmaHigh:
     def test_constant_matrix(self):
         assert mb.sigma_high(np.full((5, 3), 2.7)) == pytest.approx(2.7)
@@ -184,6 +197,20 @@ class TestFrobeniusLoss:
             assert f > 0.0
 
 
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_blocked_sum_matches_unblocked(self, k):
+        rng = np.random.default_rng(31 + k)
+        n = _rows_over_blocks(k)
+        u_low = rng.uniform(size=(n, k))
+        u_high = rng.uniform(size=(n, k))
+        expected = np.sqrt(np.sum((u_low - u_high) ** 2))
+        assert mb.frobenius_loss(u_low, u_high) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_rejects_non_matrix_memberships(self):
+        with pytest.raises(ValueError, match="2-D"):
+            mb.frobenius_loss(np.zeros(3), np.zeros(3))
+
+
 class TestLossGradient:
     def test_zero_when_memberships_match(self):
         rng = np.random.default_rng(28)
@@ -263,3 +290,33 @@ class TestLossGradient:
                 np.zeros((2, 2)), np.zeros((3, 2)), 0.0,
                 np.full((2, 3), 0.5), np.full((2, 3), 0.4), 1.0,
             )
+
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_blocked_gradient_matches_unblocked(self, k):
+        rng = np.random.default_rng(41 + k)
+        n = _rows_over_blocks(k)
+        y = rng.normal(size=(n, 2))
+        c = rng.normal(size=(k, 2))
+        sigma = 0.8
+        u_low = mb.membership_matrix(lc.euclidean_distance_matrix(y, c), sigma)
+        u_high = rng.uniform(size=(n, k))
+        loss, expected = _unblocked_loss_and_gradient(y, c, sigma, u_low, u_high)
+        grad = mb.loss_gradient(y, c, sigma, u_low, u_high, loss)
+        # relative to the largest entry: an entry can be the difference of two
+        # nearly equal terms, so its own relative error is unbounded
+        np.testing.assert_allclose(grad, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_equal_memberships_give_exact_zeros_across_blocks(self):
+        rng = np.random.default_rng(51)
+        n = _rows_over_blocks(5)
+        y = rng.normal(size=(n, 2))
+        c = rng.normal(size=(5, 2))
+        u = rng.uniform(size=(n, 5))
+        loss = mb.frobenius_loss(u, u)
+        assert loss == 0.0
+        np.testing.assert_array_equal(mb.loss_gradient(y, c, 1.0, u, u, loss), np.zeros_like(y))
+        # the floor itself is still below it
+        np.testing.assert_array_equal(
+            mb.loss_gradient(y, c, 1.0, u, rng.uniform(size=(n, 5)), mb.GRADIENT_LOSS_FLOOR),
+            np.zeros_like(y))
