@@ -143,7 +143,11 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+        reader = csv.reader(fh)
+        try:
+            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: file is empty")
 

@@ -10,8 +10,9 @@ cluster labels) and are re-normalized every iteration.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +33,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _CENTER_INITS = ("pca", "random")
+# kinds of the config dataclasses' fields, whose annotations are strings
+_KINDS = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -244,69 +247,51 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
     return y
 
 
-def _config_to_dict(cfg: CbmapConfig, scaler) -> dict:
-    doc = {
-        "n_clusters": cfg.n_clusters,
-        "out_dim": cfg.out_dim,
-        "max_iter": cfg.max_iter,
-        "learning_rate": cfg.learning_rate,
-        "center_init": cfg.center_init,
-        "init_noise_std": cfg.init_noise_std,
-        "seed": cfg.seed,
-        "clustering": None,
-        "feature_scaler": None,
-    }
-    if cfg.clustering is not None:
-        kc = cfg.clustering
-        doc["clustering"] = {
-            "k": kc.k,
-            "mode": kc.mode,
-            "batch_size": kc.batch_size,
-            "max_iters": kc.max_iters,
-            "seed": kc.seed,
-            "n_init": kc.n_init,
-        }
-    if scaler is not None:
-        mean, std = scaler
-        doc["feature_scaler"] = {"mean": list(map(float, mean)), "std": list(map(float, std))}
-    return doc
+def save_model(model: CbmapModel, path) -> None:
+    """Write the model as JSON.
 
-
-def model_to_dict(model: CbmapModel) -> dict:
-    """JSON-ready document; center arrays are flattened row-major."""
+    Every setting passes the same typed check as in :func:`load_model`, and
+    the document is built before the file is opened, so a setting the reader
+    would reject fails here and leaves an existing file untouched.
+    Floats are written in shortest round-trip form, so reloading reproduces
+    every value bit-for-bit.
+    """
     k, d = model.centers_high.shape
-    m = model.centers_low.shape[1]
-    return {
+    config = _settings(vars(model.config), CbmapConfig, "config.")
+    config["clustering"] = None
+    config["feature_scaler"] = None
+    if model.config.clustering is not None:
+        config["clustering"] = _settings(vars(model.config.clustering), KmeansConfig,
+                                         "config.clustering.")
+    if model.feature_scaler is not None:
+        mean, std = model.feature_scaler
+        config["feature_scaler"] = {"mean": list(map(float, mean)), "std": list(map(float, std))}
+    # center arrays are flattened row-major
+    doc = {
         "version": MODEL_FORMAT_VERSION,
         "k": k,
         "d": d,
-        "m": m,
+        "m": model.centers_low.shape[1],
         "centers_high": [float(v) for v in model.centers_high.ravel()],
         "centers_low": [float(v) for v in model.centers_low.ravel()],
         "sigma_high": float(model.sigma_high),
         "sigma_low": float(model.sigma_low),
-        "config": _config_to_dict(model.config, model.feature_scaler),
+        "config": config,
     }
-
-
-def save_model(model: CbmapModel, path) -> None:
-    """Write the model as JSON.
-
-    Floats are serialized with Python's shortest round-trip representation,
-    so reloading reproduces every value bit-for-bit.
-    """
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _reshape(values, shape, what):
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"model field {what!r} must be a list of numbers") from None
-    expected = int(np.prod(shape))
-    if arr.ndim != 1 or arr.shape[0] != expected:
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        raise ValueError(f"model field {what!r} must be a list of finite numbers") from None
+    if arr.ndim != 1:
+        raise ValueError(f"model field {what!r} must be a flat list of numbers")
+    expected = math.prod(shape)
+    if arr.shape[0] != expected:
         raise ValueError(f"model field {what!r} has {arr.size} values, expected {expected}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"model field {what!r} contains non-finite values")
@@ -314,15 +299,30 @@ def _reshape(values, shape, what):
 
 
 def _typed(doc, key, kind, where=""):
+    """``doc[key]`` as ``kind`` (int, float or str), or a ValueError naming the field."""
     name = where + key
+    value = doc[key]
     try:
-        value = kind(doc[key])
+        # bool is an int subclass, and int() and float() would parse strings
+        if isinstance(value, bool) or isinstance(value, str) != (kind is str):
+            raise TypeError
+        typed = kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"model field {name!r} must be {kind.__name__}: {doc[key]!r}") from None
+        raise ValueError(f"model field {name!r} must be {kind.__name__}: {value!r}") from None
+    except OverflowError:  # int(inf) and float(10**400)
+        raise ValueError(f"model field {name!r} must be finite: {value!r}") from None
     # json reads the NaN and Infinity literals, which pass every range check
-    if kind is float and not np.isfinite(value):
+    if kind is float and not np.isfinite(typed):
         raise ValueError(f"model field {name!r} must be finite: {value!r}")
-    return value
+    if kind is int and typed != value:  # int() would truncate a fraction
+        raise ValueError(f"model field {name!r} must be int: {value!r}")
+    return typed
+
+
+def _settings(doc, cls, where) -> dict:
+    """``cls``'s fields but ``clustering``, read from ``doc`` by :func:`_typed` in file order."""
+    return {f.name: _typed(doc, f.name, _KINDS[f.type], where)
+            for f in fields(cls) if f.name != "clustering"}
 
 
 def _object(value, what):
@@ -352,24 +352,8 @@ def load_model(path) -> CbmapModel:
         kcfg = None
         if cfg_doc.get("clustering") is not None:
             kc = _object(cfg_doc["clustering"], "config.clustering")
-            kcfg = KmeansConfig(
-                k=_typed(kc, "k", int, "config.clustering."),
-                mode=str(kc["mode"]),
-                batch_size=_typed(kc, "batch_size", int, "config.clustering."),
-                max_iters=_typed(kc, "max_iters", int, "config.clustering."),
-                seed=_typed(kc, "seed", int, "config.clustering."),
-                n_init=_typed(kc, "n_init", int, "config.clustering."),
-            )
-        cfg = CbmapConfig(
-            n_clusters=_typed(cfg_doc, "n_clusters", int, "config."),
-            out_dim=_typed(cfg_doc, "out_dim", int, "config."),
-            max_iter=_typed(cfg_doc, "max_iter", int, "config."),
-            learning_rate=_typed(cfg_doc, "learning_rate", float, "config."),
-            center_init=str(cfg_doc["center_init"]),
-            clustering=kcfg,
-            init_noise_std=_typed(cfg_doc, "init_noise_std", float, "config."),
-            seed=_typed(cfg_doc, "seed", int, "config."),
-        )
+            kcfg = KmeansConfig(**_settings(kc, KmeansConfig, "config.clustering."))
+        cfg = CbmapConfig(clustering=kcfg, **_settings(cfg_doc, CbmapConfig, "config."))
         scaler = None
         if cfg_doc.get("feature_scaler") is not None:
             sc = _object(cfg_doc["feature_scaler"], "config.feature_scaler")

@@ -281,6 +281,41 @@ class TestTransform:
         assert len(err) == 1
         assert err[0].startswith("error: ") and f"model field '{field}' must be finite" in err[0]
 
+    @pytest.mark.parametrize("field, raw, message", [
+        pytest.param("k", "1e400", "model field 'k' must be finite", id="k-1e400"),
+        pytest.param("sigma_high", "1" + "0" * 400, "model field 'sigma_high' must be finite",
+                     id="sigma_high-400-digits"),
+        pytest.param("centers_low.0", "1" + "0" * 400,
+                     "model field 'centers_low' must be a list of finite", id="center-400-digits"),
+        pytest.param("k", "5.7", "model field 'k' must be int", id="k-fraction"),
+        pytest.param("config.n_clusters", "2.9", "model field 'config.n_clusters' must be int",
+                     id="n_clusters-fraction"),
+        pytest.param("centers_high", "[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]",
+                     "model field 'centers_high' must be a flat list", id="nested-centers"),
+        pytest.param("input", "9" * 140000, "line 2: field larger than field limit",
+                     id="csv-field-over-limit"),
+    ])
+    def test_overflowing_or_misshapen_input_is_a_one_line_error(self, fitted, tmp_path, capsys,
+                                                                 field, raw, message):
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        if field == "input":
+            table = tmp_path / "wide.csv"
+            table.write_text(f"x0,x1,x2\n1,2,{raw}\n")
+        else:
+            *parents, key = field.split(".")
+            section = doc
+            for name in parents:
+                section = section[name]
+            section[int(key) if isinstance(section, list) else key] = "@raw@"
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc).replace('"@raw@"', raw))
+        code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+
     def test_same_seed_gives_identical_outputs(self, fitted, tmp_path):
         table, _, model_path = fitted
         a, b = tmp_path / "ta.csv", tmp_path / "tb.csv"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbmap import datasets as ds
 
@@ -252,6 +254,36 @@ class TestLoadCsv:
         reloaded = ds.load_csv(second, label_column="label")
         np.testing.assert_array_equal(reloaded.data, data)
         np.testing.assert_array_equal(reloaded.labels, labels)
+
+    def test_oversized_field_reports_line_number(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n1,2\n3," + "4" * 140000 + "\n")
+        with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+            ds.load_csv(f)
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "t.csv"
+
+
+# mostly characters a numeric CSV is made of, so that files get past the first cell
+_CSV_TEXT = st.text(alphabet=st.sampled_from("0123456789.-+eEinfa,\"\n\r \t"), max_size=60)
+
+
+class TestLoadCsvFuzz:
+    @given(content=_CSV_TEXT | st.text(max_size=40).map(str.encode) | st.binary(max_size=40),
+           has_header=st.booleans())
+    @example(content=b"a,b\n1," + b"2" * 140000 + b"\n", has_header=True)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_any_file_is_a_dataset_or_a_value_error(self, csv_file, content, has_header):
+        csv_file.write_bytes(content.encode() if isinstance(content, str) else content)
+        try:
+            dataset = ds.load_csv(csv_file, has_header=has_header)
+        except ValueError:
+            return
+        assert dataset.data.ndim == 2 and dataset.data.dtype == np.float64
+        assert dataset.data.shape[0] >= 1 and dataset.data.shape[1] >= 1
 
 
 class TestWriteCsv:

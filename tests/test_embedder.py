@@ -1,11 +1,15 @@
 """Tests for the fit/transform loop, Adam, and model serialization."""
 
+import copy
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cbmap
 from cbmap import embedder as em
@@ -421,3 +425,150 @@ class TestModelSerialization:
         loaded = cbmap.load_model(path)
         np.testing.assert_array_equal(loaded.feature_scaler[0], scaler[0])
         np.testing.assert_array_equal(loaded.feature_scaler[1], scaler[1])
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden.model.json"
+
+
+def _golden_model():
+    """A small hand-built model whose file is pinned in ``tests/data``."""
+    centers_high = np.array([[0.1, -2.5, 1.0 / 3.0, 1e-300],
+                             [123456.789, -0.0, 5e-324, 2.0],
+                             [-1.5e10, 0.7, 3.0, -4.25]])
+    centers_low = np.array([[-1.224744871391589, 0.5], [0.0, -1.0], [1.224744871391589, 0.5]])
+    config = cbmap.CbmapConfig(
+        n_clusters=3, out_dim=2, max_iter=7, learning_rate=0.05, center_init="random",
+        clustering=KmeansConfig(k=3, mode="full", batch_size=64, max_iters=9, seed=11, n_init=2),
+        init_noise_std=0.25, seed=11,
+    )
+    scaler = (np.array([0.5, -1.0, 2.0, 1e10]), np.array([1.5, 0.0, 0.25, 3.0]))
+    return cbmap.CbmapModel(centers_high=centers_high, centers_low=centers_low,
+                            sigma_high=0.7071067811865476, sigma_low=1.25, config=config,
+                            feature_scaler=scaler)
+
+
+def _with_config(model, **changes):
+    return replace(model, config=replace(model.config, **changes))
+
+
+class TestModelFormat:
+    def test_golden_file_is_reproduced(self, tmp_path):
+        path = tmp_path / "model.json"
+        cbmap.save_model(_golden_model(), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_golden_file_loads_and_saves_unchanged(self, tmp_path):
+        expected = _golden_model()
+        loaded = cbmap.load_model(GOLDEN)
+        np.testing.assert_array_equal(loaded.centers_high, expected.centers_high)
+        np.testing.assert_array_equal(loaded.centers_low, expected.centers_low)
+        assert (loaded.sigma_high, loaded.sigma_low) == (expected.sigma_high, expected.sigma_low)
+        assert loaded.config == expected.config
+        for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
+            np.testing.assert_array_equal(got, want)
+        path = tmp_path / "model.json"
+        cbmap.save_model(loaded, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_numpy_number_settings_save_as_plain_numbers(self, tmp_path):
+        model = _golden_model()
+        kcfg = model.config.clustering
+        clustering = KmeansConfig(**{name: np.int64(value) if isinstance(value, int) else value
+                                     for name, value in vars(kcfg).items()})
+        model = _with_config(model, n_clusters=np.int64(3), out_dim=np.int32(2),
+                             max_iter=np.int64(7), learning_rate=np.float64(0.05),
+                             seed=np.int64(11), clustering=clustering)
+        path = tmp_path / "model.json"
+        cbmap.save_model(model, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_cluster_count_from_a_numpy_sweep_saves_and_loads(self, tmp_path):
+        data, _ = two_blobs(40, seed=3)
+        for k in np.arange(3, 5):
+            result = cbmap.fit(data, cbmap.CbmapConfig(n_clusters=k, max_iter=5, seed=0))
+            path = tmp_path / f"k{k}.model.json"
+            cbmap.save_model(result.model, path)
+            loaded = cbmap.load_model(path)
+            assert type(loaded.config.n_clusters) is int and loaded.config.n_clusters == k
+            assert loaded.config.clustering.k == k
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"seed": None}, "config.seed"),
+        ({"learning_rate": float("nan")}, "config.learning_rate"),
+        ({"n_clusters": 2.5}, "config.n_clusters"),
+        ({"clustering": replace(_golden_model().config.clustering, seed=None)},
+         "config.clustering.seed"),
+    ])
+    def test_setting_the_reader_rejects_fails_to_save(self, tmp_path, changes, field):
+        path = tmp_path / "model.json"
+        path.write_bytes(GOLDEN.read_bytes())
+        with pytest.raises(ValueError, match=f"model field '{field}'"):
+            cbmap.save_model(_with_config(_golden_model(), **changes), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_integer_float_settings_are_byte_stable(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        cbmap.save_model(_with_config(_golden_model(), learning_rate=1, init_noise_std=2), first)
+        loaded = cbmap.load_model(first)
+        assert (loaded.config.learning_rate, loaded.config.init_noise_std) == (1.0, 2.0)
+        cbmap.save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert '"learning_rate": 1.0,' in first.read_text()
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list item in a JSON document, depth first."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_GOLDEN_DOC = json.loads(GOLDEN.read_text())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+_HUGE = 10**400
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.json"
+
+
+class TestModelFileFuzz:
+    @given(path=st.sampled_from(list(_paths(_GOLDEN_DOC))),
+           action=st.sampled_from(("replace", "delete", "rename")), value=_JSON_VALUES)
+    @example(path=("k",), action="replace", value=float("inf"))
+    @example(path=("sigma_high",), action="replace", value=_HUGE)
+    @example(path=("centers_low", 0), action="replace", value=_HUGE)
+    @example(path=("k",), action="replace", value=5.7)
+    @example(path=("config", "n_clusters"), action="replace", value=2.9)
+    @example(path=("centers_high",), action="replace",
+             value=np.reshape(_GOLDEN_DOC["centers_high"], (3, 4)).tolist())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_mutated_document_loads_or_is_rejected(self, model_file, path, action, value):
+        doc = copy.deepcopy(_GOLDEN_DOC)
+        *parents, key = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        if action == "delete":
+            del node[key]
+        elif action == "rename" and isinstance(node, dict):
+            node[key + "_"] = node.pop(key)
+        else:
+            node[key] = value
+        model_file.write_text(json.dumps(doc))
+        try:
+            model = cbmap.load_model(model_file)
+        except ValueError:
+            return
+        k, _ = model.centers_high.shape
+        assert model.centers_low.ndim == 2 and model.centers_low.shape[0] == k
+        assert np.all(np.isfinite(model.centers_high)) and np.all(np.isfinite(model.centers_low))
+        assert model.sigma_high > 0 and model.sigma_low > 0
+        assert np.isfinite(model.sigma_high) and np.isfinite(model.sigma_low)
