@@ -88,7 +88,7 @@ def _write_manifest(out: Path, command: str, argv, config: dict, seed, outputs, 
         "outputs": [str(p) for p in outputs],
         "elapsed_s": elapsed,
     }
-    path = out.with_suffix(".manifest.json")
+    path = out.with_name(out.name + ".manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

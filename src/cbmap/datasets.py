@@ -148,6 +148,8 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
             rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {_utf8_error(path)}") from None
     if not rows:
         raise ValueError(f"{path}: file is empty")
 
@@ -198,6 +200,23 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
         seen: dict[str, int] = {}
         labels = np.array([seen.setdefault(v, len(seen)) for v in raw_labels], dtype=np.int64)
     return LabeledDataset(data=np.asarray(data_rows, dtype=np.float64), labels=labels, name=path.stem)
+
+
+def _utf8_error(path) -> str:
+    """Where ``path`` first breaks UTF-8, as "line N: ...".
+
+    The text reader decodes ahead of the CSV parser, so its error names
+    neither the line nor the file; every line is decoded on its own instead,
+    which is exact because no multi-byte UTF-8 sequence contains a newline.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (f"line {lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} "
+                        f"at position {exc.start + 1}; save the file as UTF-8")
+    return "not valid UTF-8; save the file as UTF-8"
 
 
 def write_csv(path, data, labels=None, header=None) -> None:

@@ -250,9 +250,10 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
 def save_model(model: CbmapModel, path) -> None:
     """Write the model as JSON.
 
-    Every setting passes the same typed check as in :func:`load_model`, and
-    the document is built before the file is opened, so a setting the reader
-    would reject fails here and leaves an existing file untouched.
+    The document is built, and passes every check :func:`load_model` applies
+    to settings, centers, bandwidths and scaler, before the file is opened;
+    a model the reader would reject fails here and leaves an existing file
+    untouched.
     Floats are written in shortest round-trip form, so reloading reproduces
     every value bit-for-bit.
     """
@@ -278,6 +279,7 @@ def save_model(model: CbmapModel, path) -> None:
         "sigma_low": float(model.sigma_low),
         "config": config,
     }
+    _model_from_doc(doc)
     text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -347,31 +349,37 @@ def load_model(path) -> CbmapModel:
             f"{path}: unsupported model version {version!r}; expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
-        cfg_doc = _object(doc["config"], "config")
-        kcfg = None
-        if cfg_doc.get("clustering") is not None:
-            kc = _object(cfg_doc["clustering"], "config.clustering")
-            kcfg = KmeansConfig(**_settings(kc, KmeansConfig, "config.clustering."))
-        cfg = CbmapConfig(clustering=kcfg, **_settings(cfg_doc, CbmapConfig, "config."))
-        scaler = None
-        if cfg_doc.get("feature_scaler") is not None:
-            sc = _object(cfg_doc["feature_scaler"], "config.feature_scaler")
-            scaler = (
-                _reshape(sc["mean"], (d,), "feature_scaler.mean"),
-                _reshape(sc["std"], (d,), "feature_scaler.std"),
-            )
-        sigma_high = _typed(doc, "sigma_high", float)
-        sigma_low = _typed(doc, "sigma_low", float)
-        if sigma_high <= 0 or sigma_low <= 0:
-            raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
-        return CbmapModel(
-            centers_high=_reshape(doc["centers_high"], (k, d), "centers_high"),
-            centers_low=_reshape(doc["centers_low"], (k, m), "centers_low"),
-            sigma_high=sigma_high,
-            sigma_low=sigma_low,
-            config=cfg,
-            feature_scaler=scaler,
-        )
+        return _model_from_doc(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: model file is missing field {exc}") from None
+
+
+def _model_from_doc(doc) -> CbmapModel:
+    """The model a version-1 document describes, with every field's type,
+    shape and range checked; raises ValueError, or KeyError for a missing key."""
+    k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
+    cfg_doc = _object(doc["config"], "config")
+    kcfg = None
+    if cfg_doc.get("clustering") is not None:
+        kc = _object(cfg_doc["clustering"], "config.clustering")
+        kcfg = KmeansConfig(**_settings(kc, KmeansConfig, "config.clustering."))
+    cfg = CbmapConfig(clustering=kcfg, **_settings(cfg_doc, CbmapConfig, "config."))
+    scaler = None
+    if cfg_doc.get("feature_scaler") is not None:
+        sc = _object(cfg_doc["feature_scaler"], "config.feature_scaler")
+        scaler = (
+            _reshape(sc["mean"], (d,), "feature_scaler.mean"),
+            _reshape(sc["std"], (d,), "feature_scaler.std"),
+        )
+    sigma_high = _typed(doc, "sigma_high", float)
+    sigma_low = _typed(doc, "sigma_low", float)
+    if sigma_high <= 0 or sigma_low <= 0:
+        raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
+    return CbmapModel(
+        centers_high=_reshape(doc["centers_high"], (k, d), "centers_high"),
+        centers_low=_reshape(doc["centers_low"], (k, m), "centers_low"),
+        sigma_high=sigma_high,
+        sigma_low=sigma_low,
+        config=cfg,
+        feature_scaler=scaler,
+    )

@@ -53,11 +53,16 @@ def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
     Computed from explicit coordinate differences (not the expanded quadratic
-    form), so small distances do not lose precision to cancellation. Rows of
-    ``a`` are taken in cache-sized blocks. When there are fewer columns than
-    centers (``d < k``) each block sums its squared differences one column at
-    a time; otherwise it reduces a (rows, k, d) difference block. Squared
-    distances beyond the float64 range become ``inf`` without a warning.
+    form), so small distances do not lose precision to cancellation.
+    :func:`cbmap.clustering.assign_labels`, which needs only an argmin, does
+    use the expanded form in high dimensions and sends the rows it cannot
+    decide within a stated rounding bound back to this kernel.
+
+    Rows of ``a`` are taken in cache-sized blocks. When there are fewer
+    columns than centers (``d < k``) each block sums its squared differences
+    one column at a time; otherwise it reduces a (rows, k, d) difference
+    block. Squared distances beyond the float64 range become ``inf`` without
+    a warning.
 
     With ``squared=True`` the squared distances are returned, skipping the
     final square root; the default output is exactly their square root.

@@ -50,7 +50,7 @@ class TestGenerate:
         loaded = load_csv(out, label_column="label")
         assert loaded.data.shape == (4000, 3)
         assert set(np.unique(loaded.labels)) == {0, 1, 2, 3}
-        assert (tmp_path / "cuboids.manifest.json").exists()
+        assert (tmp_path / "cuboids.csv.manifest.json").exists()
 
     def test_same_seed_gives_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -90,7 +90,7 @@ class TestFit:
         assert out.exists()
         assert (tmp_path / "emb.model.json").exists()
         assert (tmp_path / "emb.loss.csv").exists()
-        assert (tmp_path / "emb.manifest.json").exists()
+        assert (tmp_path / "emb.csv.manifest.json").exists()
 
         emb = load_csv(out, label_column="label")
         assert emb.data.shape == (150, 2)
@@ -114,7 +114,7 @@ class TestFit:
         code = main(["fit", str(table), "--k", "auto", "--label-col", "species",
                      "--max-iter", "50", "-o", str(out)])
         assert code == 0
-        manifest = json.loads((tmp_path / "emb.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
         assert manifest["config"]["k"] == 20  # 150 rows < 5000
 
     def test_same_seed_gives_identical_outputs(self, tmp_path):
@@ -144,6 +144,15 @@ class TestFit:
                      "-o", str(tmp_path / "y.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys):
+        table = tmp_path / "utf16.csv"
+        table.write_bytes(b"\xff\xfe" + "a,b\n1,2\n".encode("utf-16-le"))
+        code = main(["fit", str(table), "--k", "2", "-o", str(tmp_path / "emb.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {table}: line 1: not valid UTF-8")
 
     def test_overflowing_input_is_a_one_line_error(self, tmp_path, capsys):
         data, _ = two_blobs(30, seed=15)
@@ -456,7 +465,7 @@ class TestManifest:
         first = tmp_path / "emb.csv"
         assert main(["fit", str(table), "--k", "8", "--max-iter", "100",
                      "--seed", "2", "--label-col", "species", "-o", str(first)]) == 0
-        manifest = json.loads((tmp_path / "emb.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
 
         replay_out = tmp_path / "replay.csv"
         argv = list(manifest["argv"])
@@ -473,12 +482,22 @@ class TestManifest:
         out = tmp_path / "s.csv"
         assert main(["generate", "s_curve", "--n", "50", "--seed", "4",
                      "-o", str(out)]) == 0
-        doc = json.loads((tmp_path / "s.manifest.json").read_text())
+        doc = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert doc["command"] == "generate"
         assert doc["seed"] == 4
         assert doc["outputs"] == [str(out)]
         assert doc["elapsed_s"] >= 0.0
         assert "--seed" in doc["argv"]
+
+    def test_outputs_sharing_a_stem_keep_their_own_manifests(self, tmp_path):
+        table, emb, plot = tmp_path / "roll.csv", tmp_path / "emb.csv", tmp_path / "roll.svg"
+        assert main(["generate", "swiss_roll", "--n", "50", "-o", str(table)]) == 0
+        write_csv(emb, np.random.default_rng(0).normal(size=(50, 2)))
+        assert main(["plot", str(emb), "-o", str(plot)]) == 0
+        for out, command in ((table, "generate"), (plot, "plot")):
+            doc = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert (doc["command"], doc["outputs"]) == (command, [str(out)])
+        assert not (tmp_path / "roll.manifest.json").exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cbmap import clustering as cl
+from cbmap.datasets import make_swiss_roll
+from cbmap.linalg_core import euclidean_distance_matrix
 from _util import disk_blobs
 
 
@@ -17,23 +19,95 @@ class TestAssignLabels:
         centers = np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 3.0]])
         assert cl.assign_labels([[9.0, 3.0]], centers)[0] == 2
 
-    def test_tie_goes_to_smallest_index(self):
-        centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert cl.assign_labels([[0.0, 0.0]], centers)[0] == 0
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_tie_goes_to_smallest_index(self, d):
+        centers = np.zeros((3, d))
+        centers[:, 0] = [2.0, 1.0, -1.0]
+        assert cl.assign_labels(np.zeros((1, d)), centers)[0] == 1
 
-    def test_matches_brute_force_argmin(self):
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_matches_brute_force_argmin(self, d):
         rng = np.random.default_rng(31)
-        x = rng.normal(size=(10, 3))
-        centers = rng.normal(size=(3, 3))
+        x = rng.normal(size=(10, d))
+        centers = rng.normal(size=(3, d))
         expected = [
             min(range(3), key=lambda j: np.linalg.norm(x[i] - centers[j]))
             for i in range(10)
         ]
         np.testing.assert_array_equal(cl.assign_labels(x, centers), expected)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_dimension_mismatch(self, d):
         with pytest.raises(ValueError, match="mismatch"):
-            cl.assign_labels(np.zeros((2, 3)), np.zeros((2, 2)))
+            cl.assign_labels(np.zeros((2, d)), np.zeros((2, d - 1)))
+
+
+def _tie_grid(d, offset, seed):
+    """Integer rows and centers, half-integer centers, and rows exactly midway
+    between two centers, all shifted by ``offset``.
+
+    A whole-number offset of 1e6 keeps every product exact; 1e6 + 0.1 rounds
+    the shifted values, so the expanded form carries real rounding error."""
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(-2, 3, size=(12, d)).astype(np.float64)
+    centers[6:] /= 2.0
+    pairs = rng.integers(0, 12, size=(60, 2))
+    midway = (centers[pairs[:, 0]] + centers[pairs[:, 1]]) / 2.0
+    grid = rng.integers(-2, 3, size=(140, d)).astype(np.float64)
+    return np.vstack([grid, midway, centers]) + offset, centers + offset
+
+
+class TestExpandedAssignment:
+    """Above ``_EXPANDED_MIN_D`` columns labels come from a matrix product and
+    must still be exactly the exact kernel's argmin, ties included."""
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    @pytest.mark.parametrize("offset", [0.0, 1e6 + 0.1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_labels_equal_the_exact_kernel_on_tie_grids(self, monkeypatch, d, offset, seed):
+        assert d >= cl._EXPANDED_MIN_D
+        x, centers = _tie_grid(d, offset, seed)
+        dist = euclidean_distance_matrix(x, centers)
+        expected = np.argmin(dist, axis=1)
+        nearest_two = np.sort(dist, axis=1)[:, :2]
+        ties = int(np.sum(nearest_two[:, 0] == nearest_two[:, 1]))
+        rechecked = []
+
+        def exact(a, b):
+            rechecked.append(len(a))
+            return euclidean_distance_matrix(a, b)
+
+        monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
+        got = cl.assign_labels(x, centers)
+        np.testing.assert_array_equal(got, expected)
+        # every exactly tied row is rechecked; without the offset the product
+        # alone decides the rest
+        assert 0 < ties <= sum(rechecked)
+        assert offset or sum(rechecked) < len(x)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e200])
+    def test_extreme_magnitudes_match_the_exact_kernel(self, scale):
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(50, 16)) * scale
+        centers = rng.normal(size=(7, 16)) * scale
+        with np.errstate(over="ignore"):
+            expected = np.argmin(euclidean_distance_matrix(x, centers), axis=1)
+        np.testing.assert_array_equal(cl.assign_labels(x, centers), expected)
+
+    def test_kmeans_fit_on_a_lifted_roll_is_bit_equal_to_the_exact_path(self, monkeypatch):
+        roll = make_swiss_roll(600, seed=5).data
+        rng = np.random.default_rng(6)
+        basis, _ = np.linalg.qr(rng.standard_normal((32, 3)))
+        x = roll @ basis.T + rng.normal(0.0, 0.3, (600, 32))
+        for mode in ("full", "minibatch"):
+            cfg = cl.KmeansConfig(k=12, mode=mode, batch_size=128, max_iters=20, seed=1)
+            fast = cl.kmeans_fit(x, cfg)
+            monkeypatch.setattr(cl, "_EXPANDED_MIN_D", x.shape[1] + 1)
+            exact = cl.kmeans_fit(x, cfg)
+            monkeypatch.undo()
+            assert fast.labels.tobytes() == exact.labels.tobytes()
+            assert fast.centers.tobytes() == exact.centers.tobytes()
+            assert fast.inertia == exact.inertia
 
 
 class TestKmeansFit:
@@ -149,6 +223,21 @@ class TestUpdateCenters:
         out = cl.update_centers(y, labels, np.zeros((4, 2)))
         for j in range(4):
             np.testing.assert_allclose(out[j], y[labels == j].mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("n, d, k", [(200, 40, 6), (200, 3, 6), (50, 6, 6)])
+    def test_bit_equal_to_a_per_column_bincount(self, n, d, k):
+        rng = np.random.default_rng(d)
+        y = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
+        y[:, 0] = -0.0  # an all -0.0 column sums to +0.0 from bincount's zero start
+        labels = rng.integers(0, k - 1, size=n)  # label k - 1 stays empty
+        previous = rng.normal(size=(k, d))
+        counts = np.bincount(labels, minlength=k)
+        expected = previous.copy()
+        for col in range(d):
+            sums = np.bincount(labels, weights=y[:, col], minlength=k)
+            expected[counts > 0, col] = sums[counts > 0] / counts[counts > 0]
+        out = cl.update_centers(y, labels, previous)
+        assert out.tobytes() == expected.tobytes()
 
     def test_absent_label_keeps_previous_center(self):
         y = np.array([[1.0, 1.0], [3.0, 3.0]])

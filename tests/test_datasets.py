@@ -1,5 +1,7 @@
 """Tests for the toy-data generators and CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,6 +261,18 @@ class TestLoadCsv:
         f = tmp_path / "t.csv"
         f.write_text("a,b\n1,2\n3," + "4" * 140000 + "\n")
         with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+            ds.load_csv(f)
+
+    @pytest.mark.parametrize("content, where", [
+        (b"\xff\xfea,b\n1,2\n", "line 1: not valid UTF-8: byte 0xff at position 1"),
+        (b"a,b\n1,2\n3,\xe9\n", "line 3: not valid UTF-8: byte 0xe9 at position 3"),
+        # a two-byte sequence cut short at the end of its line
+        (b"a,b\n1,\xc3\n", "line 2: not valid UTF-8: byte 0xc3 at position 3"),
+    ], ids=["utf16-mark", "latin1-byte", "cut-sequence"])
+    def test_invalid_utf8_reports_file_and_line(self, tmp_path, content, where):
+        f = tmp_path / "t.csv"
+        f.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {where};"):
             ds.load_csv(f)
 
 

@@ -506,6 +506,25 @@ class TestModelFormat:
             cbmap.save_model(_with_config(_golden_model(), **changes), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"sigma_low": float("nan")}, "model field 'sigma_low' must be finite"),
+        ({"sigma_high": 0.0}, "bandwidths must be positive"),
+        ({"centers_high": np.where(np.eye(3, 4) > 0, np.nan, _golden_model().centers_high)},
+         "model field 'centers_high' contains non-finite values"),
+        ({"centers_low": _golden_model().centers_low[:2]},
+         "model field 'centers_low' has 4 values, expected 6"),
+        ({"feature_scaler": (np.zeros(3), np.ones(4))},
+         "model field 'feature_scaler.mean' has 3 values, expected 4"),
+    ], ids=["nan-sigma-low", "zero-sigma-high", "nan-center", "short-centers-low",
+            "short-scaler"])
+    def test_array_or_bandwidth_the_reader_rejects_fails_to_save(self, tmp_path, changes,
+                                                                  message):
+        path = tmp_path / "model.json"
+        path.write_bytes(GOLDEN.read_bytes())
+        with pytest.raises(ValueError, match=message):
+            cbmap.save_model(replace(_golden_model(), **changes), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
     def test_integer_float_settings_are_byte_stable(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         cbmap.save_model(_with_config(_golden_model(), learning_rate=1, init_noise_std=2), first)
