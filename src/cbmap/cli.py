@@ -1,14 +1,16 @@
 """Command-line interface: generate | fit | transform | benchmark | plot.
 
-Every command honors --seed, writes a JSON run manifest next to its outputs,
-and is reproducible byte-for-byte for a fixed seed (manifest and benchmark
-wall-clock fields excepted). Exit codes: 0 success, 1 runtime or data errors,
+Each command returns its settings and output paths, and ``main`` writes them
+to a JSON run manifest next to the first output. Outputs are reproducible
+byte-for-byte for a fixed seed (manifest and benchmark wall-clock fields
+excepted). Exit codes: 0 success, 1 runtime or data errors,
 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -42,15 +44,6 @@ PALETTE = (
 )
 
 
-def _parse_label_column(value):
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
 def _k_arg(value):
     if value == "auto":
         return "auto"
@@ -68,31 +61,43 @@ def _resolve_k(k, n_rows: int) -> int:
 
 def _parse_int_list(text, what):
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
+    return values
 
 
-def _peek_header(path):
-    with open(path, encoding="utf-8") as fh:
-        line = fh.readline().strip()
-    return [cell.strip() for cell in line.split(",")] if line else []
+def _read_input(args, default_label=None):
+    """Load ``args.input`` as --label-col and --no-header ask.
+
+    An integer --label-col is a 0-based column index, anything else a column
+    name. Returns the dataset and the manifest's input fields.
+    """
+    label = args.label_col
+    if label is None:
+        label = default_label
+    else:
+        try:
+            label = int(label)
+        except ValueError:
+            pass
+    ds = load_csv(args.input, has_header=not args.no_header, label_column=label)
+    return ds, {"input": str(args.input), "label_column": args.label_col,
+                "has_header": not args.no_header}
 
 
-def _write_manifest(out: Path, command: str, argv, config: dict, seed, outputs, elapsed: float):
-    doc = {
-        "command": command,
-        "argv": list(argv),
-        "config": config,
-        "seed": seed,
-        "outputs": [str(p) for p in outputs],
-        "elapsed_s": elapsed,
-    }
-    path = out.with_name(out.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return path
+def _config(args, k, seed) -> CbmapConfig:
+    return CbmapConfig(n_clusters=k, out_dim=args.dim, max_iter=args.max_iter,
+                       learning_rate=args.lr, center_init=args.init, seed=seed)
+
+
+def _write_embedding(out, y, labels) -> None:
+    header = [f"e{i}" for i in range(y.shape[1])]
+    if labels is not None:
+        header.append("label")
+    write_csv(out, y, labels, header=header)
 
 
 def render_scatter_svg(points, labels=None, size: int = 640) -> str:
@@ -143,14 +148,13 @@ def render_scatter_svg(points, labels=None, size: int = 640) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_generate(args, argv) -> None:
-    t0 = time.perf_counter()
+def cmd_generate(args):
     name = args.dataset
+    if name in ("cuboids", "sphere") and args.noise > 0:
+        raise ValueError(f"the {name} generator does not support --noise")
     if name == "cuboids":
         ds = make_cuboids(args.n_per, args.gap, args.seed)
     elif name == "sphere":
-        if args.noise > 0:
-            raise ValueError("the sphere generator does not support --noise")
         ds = make_severed_sphere(args.n, args.seed)
     elif name == "s_curve":
         ds = make_s_curve(args.n, args.noise, args.seed)
@@ -158,105 +162,56 @@ def cmd_generate(args, argv) -> None:
         ds = make_swiss_roll(args.n, args.noise, args.seed)
     out = Path(args.out)
     write_csv(out, ds.data, ds.labels)
-    config = {
-        "dataset": name,
-        "n": args.n,
-        "n_per": args.n_per,
-        "gap": args.gap,
-        "noise": args.noise,
-    }
-    _write_manifest(out, "generate", argv, config, args.seed, [out], time.perf_counter() - t0)
     if args.verbose:
         print(f"generate: wrote {ds.data.shape[0]} rows to {out}", file=sys.stderr)
+    config = {"dataset": name, "n": args.n, "n_per": args.n_per, "gap": args.gap,
+              "noise": args.noise}
+    return config, [out]
 
 
-def cmd_fit(args, argv) -> None:
-    t0 = time.perf_counter()
-    label_column = _parse_label_column(args.label_col)
-    ds = load_csv(args.input, has_header=not args.no_header, label_column=label_column)
+def cmd_fit(args):
+    ds, source = _read_input(args)
     x = ds.data
     scaler = None
     if args.standardize:
         scaler = fit_scaler(x)
         x = apply_scaler(x, *scaler)
     k = _resolve_k(args.k, x.shape[0])
-    cfg = CbmapConfig(
-        n_clusters=k,
-        out_dim=args.dim,
-        max_iter=args.max_iter,
-        learning_rate=args.lr,
-        center_init=args.init,
-        seed=args.seed,
-    )
-    result = fit(x, cfg)
+    result = fit(x, _config(args, k, args.seed))
 
     out = Path(args.out)
-    header = [f"e{i}" for i in range(args.dim)]
-    if ds.labels is not None:
-        header.append("label")
-    write_csv(out, result.embedding, ds.labels, header=header)
-
+    _write_embedding(out, result.embedding, ds.labels)
     model_path = out.with_suffix(".model.json")
     save_model(replace(result.model, feature_scaler=scaler), model_path)
-
     loss_path = out.with_suffix(".loss.csv")
     with open(loss_path, "w", encoding="utf-8") as fh:
         fh.write("iteration,loss\n")
         for i, v in enumerate(result.loss_history):
             fh.write(f"{i},{float(v)!r}\n")
-
-    config = {
-        "input": str(args.input),
-        "k": k,
-        "dim": args.dim,
-        "max_iter": args.max_iter,
-        "lr": args.lr,
-        "init": args.init,
-        "standardize": args.standardize,
-        "label_column": args.label_col,
-        "has_header": not args.no_header,
-    }
-    _write_manifest(out, "fit", argv, config, args.seed,
-                    [out, model_path, loss_path], time.perf_counter() - t0)
     if args.verbose:
-        print(
-            f"fit: k={k}, loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, "
-            f"wrote {out}",
-            file=sys.stderr,
-        )
+        print(f"fit: k={k}, loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, "
+              f"wrote {out}", file=sys.stderr)
+    config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter, "lr": args.lr,
+              "init": args.init, "standardize": args.standardize}
+    return config, [out, model_path, loss_path]
 
 
-def cmd_transform(args, argv) -> None:
-    t0 = time.perf_counter()
+def cmd_transform(args):
     model = load_model(args.model)
-    label_column = _parse_label_column(args.label_col)
-    ds = load_csv(args.input, has_header=not args.no_header, label_column=label_column)
+    ds, source = _read_input(args)
     x = ds.data
     if model.feature_scaler is not None:
         x = apply_scaler(x, *model.feature_scaler)
     y = transform(model, x, iters=args.iters, seed=args.seed)
-
     out = Path(args.out)
-    header = [f"e{i}" for i in range(y.shape[1])]
-    if ds.labels is not None:
-        header.append("label")
-    write_csv(out, y, ds.labels, header=header)
-    config = {
-        "model": str(args.model),
-        "input": str(args.input),
-        "iters": args.iters,
-        "label_column": args.label_col,
-        "has_header": not args.no_header,
-    }
-    _write_manifest(out, "transform", argv, config, args.seed, [out], time.perf_counter() - t0)
+    _write_embedding(out, y, ds.labels)
     if args.verbose:
         print(f"transform: embedded {y.shape[0]} rows to {out}", file=sys.stderr)
+    return {**source, "model": str(args.model), "iters": args.iters}, [out]
 
 
-def cmd_benchmark(args, argv) -> None:
-    t0 = time.perf_counter()
-    label_column = _parse_label_column(args.label_col)
-    ds = load_csv(args.input, has_header=not args.no_header, label_column=label_column)
+def cmd_benchmark(args):
+    ds, source = _read_input(args)
     if args.k_list == "auto":
         ks = [_resolve_k("auto", ds.data.shape[0])]
     else:
@@ -265,16 +220,8 @@ def cmd_benchmark(args, argv) -> None:
     entries = []
     for k in ks:
         for seed in seeds:
-            cfg = CbmapConfig(
-                n_clusters=k,
-                out_dim=args.dim,
-                max_iter=args.max_iter,
-                learning_rate=args.lr,
-                center_init=args.init,
-                seed=seed,
-            )
             start = time.perf_counter()
-            result = fit(ds.data, cfg)
+            result = fit(ds.data, _config(args, k, seed))
             runtime = time.perf_counter() - start
             report = evaluate(ds.data, result.embedding, ds.labels, runtime_seconds=runtime)
             entries.append({"k": k, "seed": seed, **report.to_dict()})
@@ -284,34 +231,26 @@ def cmd_benchmark(args, argv) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)
         fh.write("\n")
-    config = {
-        "input": str(args.input),
-        "k_list": args.k_list,
-        "seeds": args.seeds,
-        "dim": args.dim,
-        "max_iter": args.max_iter,
-        "lr": args.lr,
-        "init": args.init,
-        "label_column": args.label_col,
-        "has_header": not args.no_header,
-    }
-    _write_manifest(out, "benchmark", argv, config, None, [out], time.perf_counter() - t0)
+    config = {**source, "k_list": args.k_list, "seeds": args.seeds, "dim": args.dim,
+              "max_iter": args.max_iter, "lr": args.lr, "init": args.init}
+    return config, [out]
 
 
-def cmd_plot(args, argv) -> None:
-    t0 = time.perf_counter()
-    has_header = not args.no_header
-    label_column = _parse_label_column(args.label_col)
-    if label_column is None and has_header and "label" in _peek_header(args.input):
-        label_column = "label"
-    ds = load_csv(args.input, has_header=has_header, label_column=label_column)
-    svg = render_scatter_svg(ds.data, ds.labels)
+def cmd_plot(args):
+    header = []
+    if args.label_col is None and not args.no_header:
+        # undecodable bytes and csv errors are left for load_csv to report with their line
+        with open(args.input, newline="", encoding="utf-8", errors="replace") as fh:
+            try:
+                header = next((row for row in csv.reader(fh) if row), [])
+            except csv.Error:
+                pass
+    ds, source = _read_input(args, "label" if "label" in map(str.strip, header) else None)
     out = Path(args.out)
-    out.write_text(svg, encoding="utf-8")
-    config = {"input": str(args.input), "label_column": args.label_col, "has_header": has_header}
-    _write_manifest(out, "plot", argv, config, None, [out], time.perf_counter() - t0)
+    out.write_text(render_scatter_svg(ds.data, ds.labels), encoding="utf-8")
     if args.verbose:
         print(f"plot: wrote {out}", file=sys.stderr)
+    return source, [out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,75 +261,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-o", "--out", required=True, help="output path")
-        p.add_argument("-v", "--verbose", action="store_true")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--out", required=True, help="output path")
+    output.add_argument("-v", "--verbose", action="store_true")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--label-col", default=None, help="label column name or 0-based index")
+    table.add_argument("--no-header", action="store_true")
+    descent = argparse.ArgumentParser(add_help=False)
+    descent.add_argument("--dim", type=int, default=2, help="embedding dimension")
+    descent.add_argument("--max-iter", type=int, default=500)
+    descent.add_argument("--lr", type=float, default=0.1)
+    descent.add_argument("--init", choices=("pca", "random"), default="pca")
 
-    p = sub.add_parser("generate", help="write a toy dataset as CSV")
+    p = sub.add_parser("generate", parents=[output], help="write a toy dataset as CSV")
     p.add_argument("dataset", choices=DATASET_NAMES)
     p.add_argument("--n", type=int, default=1000, help="points to sample (non-cuboid datasets)")
     p.add_argument("--n-per", type=int, default=1000, help="points per cuboid")
     p.add_argument("--gap", type=float, default=2.0, help="face-to-face cuboid spacing")
-    p.add_argument("--noise", type=float, default=0.0, help="coordinate noise std")
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="coordinate noise std (s_curve and swiss_roll only)")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("fit", help="embed a CSV and save the model")
+    p = sub.add_parser("fit", parents=[output, table, descent],
+                       help="embed a CSV and save the model")
     p.add_argument("input")
     p.add_argument("--k", type=_k_arg, required=True, help="number of clusters, or 'auto'")
-    p.add_argument("--dim", type=int, default=2, help="embedding dimension")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--init", choices=("pca", "random"), default="pca")
     p.add_argument("--standardize", action="store_true", help="z-score features before fitting")
-    p.add_argument("--label-col", default=None, help="label column name or 0-based index")
-    p.add_argument("--no-header", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("transform", help="embed new rows with a saved model")
+    p = sub.add_parser("transform", parents=[output, table],
+                       help="embed new rows with a saved model")
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--label-col", default=None)
-    p.add_argument("--no-header", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="defaults to the model's seed")
-    common(p)
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("benchmark", help="fit over a (k, seed) grid and report metrics")
+    p = sub.add_parser("benchmark", parents=[output, table, descent],
+                       help="fit over a (k, seed) grid and report metrics")
     p.add_argument("input")
     p.add_argument("--k-list", default="auto", help="comma-separated cluster counts, or 'auto'")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--init", choices=("pca", "random"), default="pca")
-    p.add_argument("--label-col", default=None)
-    p.add_argument("--no-header", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("plot", help="render a 2-D embedding CSV as SVG")
+    p = sub.add_parser("plot", parents=[output, table], help="render a 2-D embedding CSV as SVG",
+                       description="Render a 2-D embedding CSV as SVG. Without --label-col, "
+                       "a column headed 'label' colors the points.")
     p.add_argument("input")
-    p.add_argument("--label-col", default=None,
-                   help="label column; defaults to 'label' when the header has one")
-    p.add_argument("--no-header", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and write its manifest next to its first output."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        args.func(args, argv)
+        config, outputs = args.func(args)
+        doc = {"command": args.command, "argv": list(argv), "config": config,
+               "seed": getattr(args, "seed", None), "outputs": [str(p) for p in outputs],
+               "elapsed_s": time.perf_counter() - t0}
+        with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -145,7 +145,8 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+            # a quoted field may span lines, so number each row by where it ends
+            rows = [(reader.line_num, row) for row in reader if row]
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ class TestGenerate:
         code = main(["generate", "sphere", "--noise", "0.1", "-o", str(out)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cuboids_reject_noise(self, tmp_path, capsys):
+        out = tmp_path / "cuboids.csv"
+        code = main(["generate", "cuboids", "--n-per", "20", "--noise", "0.5", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the cuboids generator does not support --noise"]
         assert not out.exists()
 
     def test_unknown_dataset_is_a_usage_error(self, tmp_path):
@@ -393,6 +402,18 @@ class TestBenchmark:
         assert code == 1
         assert "--k-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--seeds", ","), ("--k-list", " ")])
+    def test_empty_list_is_a_data_error(self, tmp_path, capsys, flag, value):
+        table = tmp_path / "t.csv"
+        write_csv(table, np.random.default_rng(0).normal(size=(30, 3)))
+        out = tmp_path / "b.json"
+        code = main(["benchmark", str(table), flag, value, "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flag} must be")
+        assert not out.exists()
+
 
 class TestPlot:
     @pytest.fixture()
@@ -453,6 +474,24 @@ class TestPlot:
         fills = set(re.findall(r'fill="(#[0-9a-f]{6})"', out.read_text()))
         assert len(fills) == 1
 
+    def test_quoted_label_header_is_detected(self, embedding_csv, tmp_path):
+        path, _ = embedding_csv
+        quoted = tmp_path / "quoted.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        quoted.write_text('"e0","e1","label"\n' + "".join(lines[1:]))
+        auto, named = tmp_path / "auto.svg", tmp_path / "named.svg"
+        assert main(["plot", str(quoted), "-o", str(auto)]) == 0
+        assert main(["plot", str(quoted), "--label-col", "label", "-o", str(named)]) == 0
+        assert auto.read_bytes() == named.read_bytes()
+
+    def test_input_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys):
+        table = tmp_path / "utf16.csv"
+        table.write_bytes(b"\xff\xfe" + "e0,e1\n1,2\n".encode("utf-16-le"))
+        assert main(["plot", str(table), "-o", str(tmp_path / "plot.svg")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {table}: line 1: not valid UTF-8")
+
     def test_render_rejects_non_planar_points(self):
         with pytest.raises(ValueError, match="--dim 2"):
             render_scatter_svg(np.zeros((3, 4)))
@@ -498,6 +537,54 @@ class TestManifest:
             doc = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
             assert (doc["command"], doc["outputs"]) == (command, [str(out)])
         assert not (tmp_path / "roll.manifest.json").exists()
+
+
+    def test_every_command_records_its_settings(self, tmp_path):
+        table, emb = tmp_path / "s.csv", tmp_path / "emb.csv"
+        runs = [
+            (["generate", "s_curve", "--n", "60", "-o", str(table)],
+             {"dataset", "n", "n_per", "gap", "noise"}),
+            (["fit", str(table), "--k", "4", "--max-iter", "20", "--label-col", "label",
+              "-o", str(emb)],
+             {"k", "dim", "max_iter", "lr", "init", "standardize"}),
+            (["transform", str(tmp_path / "emb.model.json"), str(table), "--label-col", "3",
+              "--iters", "10", "-o", str(tmp_path / "proj.csv")],
+             {"model", "iters"}),
+            (["benchmark", str(table), "--k-list", "3", "--max-iter", "10",
+              "-o", str(tmp_path / "bench.json")],
+             {"k_list", "seeds", "dim", "max_iter", "lr", "init"}),
+            (["plot", str(emb), "-o", str(tmp_path / "emb.svg")], set()),
+        ]
+        source = {"input", "label_column", "has_header"}
+        for argv, settings in runs:
+            assert main(argv) == 0
+            doc = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+            assert set(doc) == {"command", "argv", "config", "seed", "outputs", "elapsed_s"}
+            assert (doc["command"], doc["argv"], doc["outputs"][0]) == (argv[0], argv, argv[-1])
+            expected = settings if argv[0] == "generate" else settings | source
+            assert set(doc["config"]) == expected
+            assert doc["seed"] == (0 if argv[0] in ("generate", "fit") else None)
+
+
+SHARED_FLAGS = {
+    "generate": ("--out", "--verbose"),
+    "fit": ("--out", "--verbose", "--label-col", "--no-header",
+            "--dim", "--max-iter", "--lr", "--init"),
+    "transform": ("--out", "--verbose", "--label-col", "--no-header"),
+    "benchmark": ("--out", "--verbose", "--label-col", "--no-header",
+                  "--dim", "--max-iter", "--lr", "--init"),
+    "plot": ("--out", "--verbose", "--label-col", "--no-header"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+def test_help_lists_the_shared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in SHARED_FLAGS["fit"]:  # fit takes every shared group
+        assert (flag in text) == (flag in SHARED_FLAGS[command]), flag
 
 
 def test_console_script_entry_point(tmp_path):

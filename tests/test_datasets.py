@@ -214,6 +214,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3, column 2"):
             ds.load_csv(f)
 
+    def test_rows_after_a_multi_line_field_keep_their_line_numbers(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text('a,b\n"1\n",2\n3,x\n')
+        with pytest.raises(ValueError, match="line 4, column 2: not numeric: 'x'"):
+            ds.load_csv(f)
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("")
