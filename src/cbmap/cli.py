@@ -53,6 +53,16 @@ def _k_arg(value):
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {value!r}")
 
 
+def _seed_arg(value):
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value!r}")
+    return seed
+
+
 def _resolve_k(k, n_rows: int) -> int:
     if k == "auto":
         return AUTO_K_SMALL if n_rows < AUTO_K_THRESHOLD else AUTO_K_LARGE
@@ -66,6 +76,8 @@ def _parse_int_list(text, what):
         values = []
     if not values:
         raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
+    if min(values) < 0:
+        raise ValueError(f"{what} entries must be nonnegative, got {text!r}")
     return values
 
 
@@ -150,7 +162,7 @@ def render_scatter_svg(points, labels=None, size: int = 640) -> str:
 
 def cmd_generate(args):
     name = args.dataset
-    if name in ("cuboids", "sphere") and args.noise > 0:
+    if name in ("cuboids", "sphere") and args.noise != 0:
         raise ValueError(f"the {name} generator does not support --noise")
     if name == "cuboids":
         ds = make_cuboids(args.n_per, args.gap, args.seed)
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=2.0, help="face-to-face cuboid spacing")
     p.add_argument("--noise", type=float, default=0.0,
                    help="coordinate noise std (s_curve and swiss_roll only)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", parents=[output, table, descent],
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--k", type=_k_arg, required=True, help="number of clusters, or 'auto'")
     p.add_argument("--standardize", action="store_true", help="z-score features before fitting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("transform", parents=[output, table],
@@ -296,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--seed", type=int, default=None, help="defaults to the model's seed")
+    p.add_argument("--seed", type=_seed_arg, default=None, help="defaults to the model's seed")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("benchmark", parents=[output, table, descent],

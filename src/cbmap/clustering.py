@@ -17,9 +17,10 @@ from .linalg_core import as_data_matrix, euclidean_distance_matrix
 FULL_BATCH_LIMIT = 5000
 
 # assign_labels takes its distances from one matrix product from this many
-# columns on. From 8 columns the product was at least as fast at every size
-# measured (64 to 5000 rows, 3 to 40 centers); at 3 to 6 columns it won only
-# from about 1000 rows and lost below.
+# columns on, where it was at least as fast at every size measured. Narrower
+# inputs keep the exact kernel: with 2 BLAS threads, the threads the product
+# wakes slowed the descent after k-means (5000-row roll fit 0.65-0.84 s against
+# 0.63-0.71 s, medians of six 5-fit rounds); with 1 thread the two were even.
 _EXPANDED_MIN_D = 8
 
 _MODES = ("auto", "full", "minibatch")
@@ -52,6 +53,8 @@ class KmeansConfig:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if self.n_init < 1:
             raise ValueError(f"n_init must be positive, got {self.n_init}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,9 @@ def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of points n={n}")
     rng = np.random.default_rng(cfg.seed)
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "full" if n < FULL_BATCH_LIMIT else "minibatch"
-    if mode == "full":
-        best = None
-        for _ in range(cfg.n_init):
-            run = _lloyd_once(x, cfg.k, cfg.max_iters, rng)
-            if best is None or run[2] < best[2]:
-                best = run
-        centers, labels, inertia = best
+    if cfg.mode == "full" or (cfg.mode == "auto" and n < FULL_BATCH_LIMIT):
+        runs = (_lloyd_once(x, cfg.k, cfg.max_iters, rng) for _ in range(cfg.n_init))
+        centers, labels, inertia = min(runs, key=lambda run: run[2])  # first of equals
     else:
         centers, labels, inertia = _minibatch(x, cfg, rng)
     return ClusterAssignment(centers=centers, labels=labels.astype(np.int64), inertia=inertia)
@@ -149,8 +145,11 @@ def _kmeans_plusplus(x, k, rng):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    closest_sq = euclidean_distance_matrix(x, centers[:1])[:, 0] ** 2
+    closest_sq = np.full(n, np.inf)
     for j in range(1, k):
+        # only the draw of a next center needs the distance to the last one
+        new_sq = euclidean_distance_matrix(x, centers[j - 1 : j])[:, 0] ** 2
+        np.minimum(closest_sq, new_sq, out=closest_sq)
         total = closest_sq.sum()
         if not np.isfinite(total):
             raise ValueError("squared distances overflow float64; rescale the input")
@@ -160,8 +159,6 @@ def _kmeans_plusplus(x, k, rng):
             # every remaining point coincides with an existing center
             idx = int(rng.integers(n))
         centers[j] = x[idx]
-        new_sq = euclidean_distance_matrix(x, centers[j : j + 1])[:, 0] ** 2
-        np.minimum(closest_sq, new_sq, out=closest_sq)
     return centers
 
 
@@ -181,13 +178,15 @@ def update_centers(x, labels, previous) -> np.ndarray:
     return centers
 
 
-def _reseed_empty(x, centers, labels):
-    """Move each empty center onto the point farthest from its assigned center.
+def _reseed_empty(x, centers):
+    """Assign every row to its nearest center, then move each empty center
+    onto the point farthest from its assigned center; returns ``(centers, labels)``.
 
     Reassigns after every move so at most k passes are needed; gives up when
     every point already sits exactly on a center.
     """
     k = centers.shape[0]
+    labels = assign_labels(x, centers)
     for _ in range(k + 1):
         counts = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
@@ -209,20 +208,13 @@ def _inertia(x, centers, labels):
     return float(np.einsum("ij,ij->i", diff, diff).sum())
 
 
-def _lloyd_once(x, k, max_iters, rng, trace=None):
-    centers = _kmeans_plusplus(x, k, rng)
-    labels = assign_labels(x, centers)
-    centers, labels = _reseed_empty(x, centers, labels)
+def _lloyd_once(x, k, max_iters, rng):
+    centers, labels = _reseed_empty(x, _kmeans_plusplus(x, k, rng))
     for _ in range(max_iters):
-        if trace is not None:
-            trace.append(_inertia(x, centers, labels))
-        centers = update_centers(x, labels, centers)
-        new_labels = assign_labels(x, centers)
-        centers, new_labels = _reseed_empty(x, centers, new_labels)
-        converged = np.array_equal(new_labels, labels)
-        labels = new_labels
-        if converged:
+        centers, new_labels = _reseed_empty(x, update_centers(x, labels, centers))
+        if np.array_equal(new_labels, labels):
             break
+        labels = new_labels
     return centers, labels, _inertia(x, centers, labels)
 
 
@@ -234,11 +226,11 @@ def _minibatch(x, cfg, rng):
     for _ in range(cfg.max_iters):
         batch = x[rng.choice(n, size=b, replace=False)]
         batch_labels = assign_labels(batch, centers)
-        for j in np.unique(batch_labels):
-            members = batch[batch_labels == j]
-            counts[j] += members.shape[0]
-            eta = members.shape[0] / counts[j]
-            centers[j] = (1.0 - eta) * centers[j] + eta * members.mean(axis=0)
-    labels = assign_labels(x, centers)
-    centers, labels = _reseed_empty(x, centers, labels)
+        means = update_centers(batch, batch_labels, centers)
+        sizes = np.bincount(batch_labels, minlength=cfg.k)
+        counts += sizes
+        hit = sizes > 0  # update only these: adding 0.0 would turn a -0.0 into +0.0
+        eta = (sizes[hit] / counts[hit])[:, None]
+        centers[hit] = (1.0 - eta) * centers[hit] + eta * means[hit]
+    centers, labels = _reseed_empty(x, centers)
     return centers, labels, _inertia(x, centers, labels)

@@ -47,8 +47,8 @@ def make_s_curve(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDatase
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     x = np.sin(t)
@@ -69,8 +69,8 @@ def make_swiss_roll(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDat
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.uniform(0.0, 1.0, size=n))
     x = t * np.cos(t)
@@ -120,8 +120,8 @@ def make_cuboids(n_per_cluster: int = 1000, gap: float = 2.0, seed: int = 0) -> 
     """
     if n_per_cluster < 1:
         raise ValueError(f"n_per_cluster must be at least 1, got {n_per_cluster}")
-    if gap < 0:
-        raise ValueError(f"gap must be nonnegative, got {gap}")
+    if not 0 <= gap < np.inf:
+        raise ValueError(f"gap must be finite and nonnegative, got {gap}")
     rng = np.random.default_rng(seed)
     blocks = []
     for label in range(4):

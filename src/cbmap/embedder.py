@@ -63,12 +63,16 @@ class CbmapConfig:
             raise ValueError(f"out_dim must be at least 1, got {self.out_dim}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.center_init not in _CENTER_INITS:
             raise ValueError(f"center_init must be one of {_CENTER_INITS}, got {self.center_init!r}")
-        if self.init_noise_std <= 0:
-            raise ValueError(f"init_noise_std must be positive, got {self.init_noise_std}")
+        if not 0 < self.init_noise_std < math.inf:
+            raise ValueError(
+                f"init_noise_std must be finite and positive, got {self.init_noise_std}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

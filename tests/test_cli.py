@@ -82,6 +82,34 @@ class TestGenerate:
         assert err == ["error: the cuboids generator does not support --noise"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["s_curve", "--noise", "nan"], "noise_std"),
+        (["s_curve", "--noise", "inf"], "noise_std"),
+        (["swiss_roll", "--noise", "nan"], "noise_std"),
+        (["cuboids", "--gap", "nan"], "gap"),
+        (["cuboids", "--gap", "inf"], "gap"),
+    ])
+    def test_non_finite_noise_or_gap_is_a_one_line_error(self, tmp_path, capsys, argv,
+                                                         setting):
+        out = tmp_path / "data.csv"
+        code = main(["generate", *argv, "--n", "20", "--n-per", "5", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {setting} must be finite and nonnegative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", ["sphere", "cuboids"])
+    @pytest.mark.parametrize("noise", ["nan", "-0.5"])
+    def test_any_nonzero_noise_is_rejected_without_a_noise_model(self, tmp_path, capsys,
+                                                                 dataset, noise):
+        out = tmp_path / "data.csv"
+        code = main(["generate", dataset, "--n-per", "5", "--noise", noise, "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: the {dataset} generator does not support --noise"]
+        assert not out.exists()
+
     def test_unknown_dataset_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "klein_bottle", "-o", str(tmp_path / "x.csv")])
@@ -205,6 +233,20 @@ class TestFit:
             assert main(["transform", str(tmp_path / "emb.model.json"), str(src),
                          "-o", str(dst)]) == 0
         assert projected[0].read_bytes() == projected[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_one_line_error(tmp_path, capsys, command, lr):
+    table = tmp_path / "t.csv"
+    write_csv(table, np.random.default_rng(0).normal(size=(30, 3)))
+    out = tmp_path / "out.csv"
+    argv = [command, str(table), "--lr", lr, "-o", str(out)]
+    code = main(argv + (["--k", "5"] if command == "fit" else ["--k-list", "5"]))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: learning_rate must be finite and positive, got {lr}"]
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +415,49 @@ def test_swiss_roll_split_pipeline_tracks_radius(tmp_path):
     radii = np.hypot(roll.data[test_idx][:, 0], roll.data[test_idx][:, 2])
     spread = np.linalg.norm(test_emb - center, axis=1)
     assert abs(_spearman(radii, spread)) >= 0.8
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["generate", "fit", "transform"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_flag_is_a_usage_error(self, fitted, tmp_path, capsys, command, seed):
+        table, _, model_path = fitted
+        inputs = {"generate": ["s_curve"], "fit": [str(table), "--k", "4"],
+                  "transform": [str(model_path), str(table)]}[command]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--seed", seed, "-o", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument --seed: expected a nonnegative integer, got '{seed}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_seeds_entry_is_a_data_error(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        write_csv(table, np.random.default_rng(0).normal(size=(30, 3)))
+        out = tmp_path / "b.json"
+        code = main(["benchmark", str(table), "--seeds", "0,-1", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seeds entries must be nonnegative, got '0,-1'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", [(), ("clustering",)])
+    def test_negative_seed_in_a_model_file_is_a_one_line_error(self, fitted, tmp_path,
+                                                               capsys, section):
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        target = doc["config"]
+        for name in section:
+            target = target[name]
+        target["seed"] = -1
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        code = main(["transform", str(bad), str(table), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be nonnegative, got -1"]
+        assert not out.exists()
 
 
 class TestBenchmark:

@@ -145,9 +145,10 @@ class TestKmeansFit:
     def test_lloyd_inertia_non_increasing(self):
         rng = np.random.default_rng(34)
         x = rng.normal(size=(60, 2))
-        trace = []
-        cl._lloyd_once(x, 3, 50, np.random.default_rng(0), trace=trace)
-        assert len(trace) >= 1
+        # the same seeding each time, stopped after 0, 1, ... passes
+        trace = [cl._lloyd_once(x, 3, passes, np.random.default_rng(0))[2]
+                 for passes in range(12)]
+        assert trace[-1] < trace[0]
         assert np.all(np.diff(trace) <= 1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -158,6 +159,29 @@ class TestKmeansFit:
                                                 seed=seed))
         np.testing.assert_array_equal(full.labels == full.labels[0],
                                       mini.labels == mini.labels[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_minibatch_equals_the_per_label_update(self, d):
+        def per_label(x, cfg, rng):
+            centers = cl._kmeans_plusplus(x, cfg.k, rng)
+            counts = np.zeros(cfg.k)
+            for _ in range(cfg.max_iters):
+                batch = x[rng.choice(x.shape[0], size=cfg.batch_size, replace=False)]
+                batch_labels = cl.assign_labels(batch, centers)
+                for j in np.unique(batch_labels):
+                    members = batch[batch_labels == j]
+                    counts[j] += members.shape[0]
+                    eta = members.shape[0] / counts[j]
+                    centers[j] = (1.0 - eta) * centers[j] + eta * members.mean(axis=0)
+            return cl._reseed_empty(x, centers)
+
+        x = np.random.default_rng(d).normal(size=(300, d)) * [10.0**-i for i in range(d)]
+        # a batch of 8 rows misses at least 4 of the 12 centers
+        cfg = cl.KmeansConfig(k=12, mode="minibatch", batch_size=8, max_iters=40, seed=d)
+        centers, labels, _ = cl._minibatch(x, cfg, np.random.default_rng(cfg.seed))
+        ref_centers, ref_labels = per_label(x, cfg, np.random.default_rng(cfg.seed))
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert labels.tobytes() == ref_labels.tobytes()
 
     def test_minibatch_covers_every_cluster(self):
         rng = np.random.default_rng(35)
@@ -194,6 +218,19 @@ class TestKmeansFit:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
             cl.kmeans_fit(np.empty((0, 2)), cl.KmeansConfig(k=1))
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_seeding_makes_one_distance_call_per_drawn_center(self, monkeypatch, k):
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(b))
+            return euclidean_distance_matrix(a, b)
+
+        monkeypatch.setattr(cl, "euclidean_distance_matrix", counted)
+        x = np.random.default_rng(36).normal(size=(50, 3))
+        cl._kmeans_plusplus(x, k, np.random.default_rng(0))
+        assert calls == [1] * (k - 1)
 
     def test_more_clusters_than_distinct_points(self):
         # seeding falls back to uniform draws once every point sits on a
@@ -260,3 +297,7 @@ class TestKmeansConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             cl.KmeansConfig(**kwargs)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            cl.KmeansConfig(k=2, seed=-1)

@@ -173,6 +173,17 @@ class TestGeneratorDeterminism:
         b = ds.make_cuboids(100, gap=2.0, seed=5)
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("make", [ds.make_s_curve, ds.make_swiss_roll])
+    @pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
+    def test_rejects_noise_that_is_negative_or_not_finite(self, make, noise_std):
+        with pytest.raises(ValueError, match="^noise_std must be finite and nonnegative"):
+            make(10, noise_std=noise_std)
+
+    @pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")])
+    def test_cuboids_reject_a_gap_that_is_negative_or_not_finite(self, gap):
+        with pytest.raises(ValueError, match="^gap must be finite and nonnegative"):
+            ds.make_cuboids(10, gap=gap)
+
     @pytest.mark.parametrize("make", [ds.make_s_curve, ds.make_swiss_roll,
                                       ds.make_severed_sphere])
     def test_rejects_nonpositive_n(self, make):

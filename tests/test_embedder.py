@@ -239,6 +239,15 @@ class TestCbmapConfig:
         with pytest.raises(ValueError):
             cbmap.CbmapConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("init_noise_std", float("nan")), ("init_noise_std", float("-inf")),
+        ("seed", -1),
+    ])
+    def test_non_finite_or_negative_setting_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cbmap.CbmapConfig(n_clusters=4, **{field: value})
+
 
 class TestTransform:
     def test_training_data_maps_near_fit_embedding(self, blob_fit):
@@ -494,7 +503,7 @@ class TestModelFormat:
 
     @pytest.mark.parametrize("changes, field", [
         ({"seed": None}, "config.seed"),
-        ({"learning_rate": float("nan")}, "config.learning_rate"),
+        ({"learning_rate": True}, "config.learning_rate"),
         ({"n_clusters": 2.5}, "config.n_clusters"),
         ({"clustering": replace(_golden_model().config.clustering, seed=None)},
          "config.clustering.seed"),
@@ -524,6 +533,18 @@ class TestModelFormat:
         with pytest.raises(ValueError, match=message):
             cbmap.save_model(replace(_golden_model(), **changes), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("section", [(), ("clustering",)])
+    def test_negative_seed_in_a_file_is_rejected(self, tmp_path, section):
+        doc = json.loads(GOLDEN.read_text())
+        target = doc["config"]
+        for name in section:
+            target = target[name]
+        target["seed"] = -1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            cbmap.load_model(path)
 
     def test_integer_float_settings_are_byte_stable(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
