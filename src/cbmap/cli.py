@@ -112,7 +112,7 @@ def _write_embedding(out, y, labels) -> None:
     write_csv(out, y, labels, header=header)
 
 
-def render_scatter_svg(points, labels=None, size: int = 640) -> str:
+def render_scatter_svg(points, labels=None) -> str:
     """Self-contained SVG scatter plot of a 2-D embedding.
 
     The viewBox equals the data range padded by 5% per axis, and points with
@@ -145,8 +145,8 @@ def render_scatter_svg(points, labels=None, size: int = 640) -> str:
         groups = [(int(c), np.flatnonzero(labels == c)) for c in np.unique(labels)]
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{max(1, round(size * height / width))}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+        f'height="{max(1, round(640 * height / width))}" '
         f'viewBox="{x0} {y0} {width} {height}">',
         # flip the y axis so larger values render higher
         f'<g transform="matrix(1 0 0 -1 0 {2.0 * y0 + height})">',
@@ -165,20 +165,20 @@ def cmd_generate(args):
     if name in ("cuboids", "sphere") and args.noise != 0:
         raise ValueError(f"the {name} generator does not support --noise")
     if name == "cuboids":
+        settings = {"n_per": args.n_per, "gap": args.gap}
         ds = make_cuboids(args.n_per, args.gap, args.seed)
     elif name == "sphere":
+        settings = {"n": args.n}
         ds = make_severed_sphere(args.n, args.seed)
-    elif name == "s_curve":
-        ds = make_s_curve(args.n, args.noise, args.seed)
     else:
-        ds = make_swiss_roll(args.n, args.noise, args.seed)
+        settings = {"n": args.n, "noise": args.noise}
+        make = make_s_curve if name == "s_curve" else make_swiss_roll
+        ds = make(args.n, args.noise, args.seed)
     out = Path(args.out)
     write_csv(out, ds.data, ds.labels)
     if args.verbose:
         print(f"generate: wrote {ds.data.shape[0]} rows to {out}", file=sys.stderr)
-    config = {"dataset": name, "n": args.n, "n_per": args.n_per, "gap": args.gap,
-              "noise": args.noise}
-    return config, [out]
+    return {"dataset": name, **settings}, [out]
 
 
 def cmd_fit(args):
@@ -235,8 +235,9 @@ def cmd_benchmark(args):
             start = time.perf_counter()
             result = fit(ds.data, _config(args, k, seed))
             runtime = time.perf_counter() - start
-            report = evaluate(ds.data, result.embedding, ds.labels, runtime_seconds=runtime)
-            entries.append({"k": k, "seed": seed, **report.to_dict()})
+            report = evaluate(ds.data, result.embedding, ds.labels)
+            entries.append({"k": k, "seed": seed, "gs": report.global_score,
+                            "acc": report.knn_accuracy, "runtime_seconds": runtime})
             if args.verbose:
                 print(f"benchmark: k={k} seed={seed} gs={report.global_score:.4f}", file=sys.stderr)
     out = Path(args.out)

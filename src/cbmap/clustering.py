@@ -11,10 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, euclidean_distance_matrix
+from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix
 
-# "auto" mode switches from full-batch to mini-batch at this many rows.
+# kmeans_fit keeps the best of N_INIT Lloyd runs below FULL_BATCH_LIMIT rows,
+# and from there on runs mini-batches of BATCH_SIZE rows.
 FULL_BATCH_LIMIT = 5000
+BATCH_SIZE = 1024
+N_INIT = 3
 
 # assign_labels takes its distances from one matrix product from this many
 # columns on, where it was at least as fast at every size measured. Narrower
@@ -23,38 +26,21 @@ FULL_BATCH_LIMIT = 5000
 # 0.63-0.71 s, medians of six 5-fit rounds); with 1 thread the two were even.
 _EXPANDED_MIN_D = 8
 
-_MODES = ("auto", "full", "minibatch")
-
 
 @dataclass(frozen=True)
 class KmeansConfig:
-    """Clustering parameters.
-
-    mode "auto" resolves to "full" below FULL_BATCH_LIMIT rows and
-    "minibatch" at or above it. ``n_init`` restarts apply to the full-batch
-    driver only; the mini-batch driver always runs ``max_iters`` batches.
-    """
+    """Clustering parameters; ``max_iters`` caps each Lloyd run's passes or the mini-batches."""
 
     k: int
-    mode: str = "auto"
-    batch_size: int = 1024
     max_iters: int = 100
     seed: int = 0
-    n_init: int = 3
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be positive, got {self.n_init}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -124,18 +110,19 @@ def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
     Returns
     -------
     ClusterAssignment whose centers, labels and inertia are reproducible
-    byte-for-byte for a fixed seed, config and input.
+    byte-for-byte for a fixed seed, config and input. Inputs below
+    ``FULL_BATCH_LIMIT`` rows run Lloyd, larger ones the mini-batch driver.
     """
     x = as_data_matrix(x, "x")
     n = x.shape[0]
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of points n={n}")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.mode == "full" or (cfg.mode == "auto" and n < FULL_BATCH_LIMIT):
-        runs = (_lloyd_once(x, cfg.k, cfg.max_iters, rng) for _ in range(cfg.n_init))
+    if n < FULL_BATCH_LIMIT:
+        runs = (_lloyd_once(x, cfg.k, cfg.max_iters, rng) for _ in range(N_INIT))
         centers, labels, inertia = min(runs, key=lambda run: run[2])  # first of equals
     else:
-        centers, labels, inertia = _minibatch(x, cfg, rng)
+        centers, labels, inertia = _minibatch(x, cfg.k, cfg.max_iters, rng)
     return ClusterAssignment(centers=centers, labels=labels.astype(np.int64), inertia=inertia)
 
 
@@ -218,16 +205,16 @@ def _lloyd_once(x, k, max_iters, rng):
     return centers, labels, _inertia(x, centers, labels)
 
 
-def _minibatch(x, cfg, rng):
+def _minibatch(x, k, max_iters, rng):
     n = x.shape[0]
-    centers = _kmeans_plusplus(x, cfg.k, rng)
-    counts = np.zeros(cfg.k)
-    b = min(cfg.batch_size, n)
-    for _ in range(cfg.max_iters):
+    centers = _kmeans_plusplus(x, k, rng)
+    counts = np.zeros(k)
+    b = min(BATCH_SIZE, n)
+    for _ in range(max_iters):
         batch = x[rng.choice(n, size=b, replace=False)]
         batch_labels = assign_labels(batch, centers)
         means = update_centers(batch, batch_labels, centers)
-        sizes = np.bincount(batch_labels, minlength=cfg.k)
+        sizes = np.bincount(batch_labels, minlength=k)
         counts += sizes
         hit = sizes > 0  # update only these: adding 0.0 would turn a -0.0 into +0.0
         eta = (sizes[hit] / counts[hit])[:, None]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg_core import as_data_matrix
+from .linalg_core import as_data_matrix, check_seed
 
 # Severed-sphere cut: drop the polar cap above this colatitude boundary and
 # the longitudinal wedge beyond this fraction of a full turn.
@@ -49,6 +49,7 @@ def make_s_curve(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDatase
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     x = np.sin(t)
@@ -71,6 +72,7 @@ def make_swiss_roll(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDat
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.uniform(0.0, 1.0, size=n))
     x = t * np.cos(t)
@@ -91,6 +93,7 @@ def make_severed_sphere(n: int, seed: int = 0) -> LabeledDataset:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     longitude = rng.uniform(0.0, 2.0 * np.pi, size=n)
     colatitude = rng.uniform(0.0, np.pi, size=n)
@@ -122,6 +125,7 @@ def make_cuboids(n_per_cluster: int = 1000, gap: float = 2.0, seed: int = 0) -> 
         raise ValueError(f"n_per_cluster must be at least 1, got {n_per_cluster}")
     if not 0 <= gap < np.inf:
         raise ValueError(f"gap must be finite and nonnegative, got {gap}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     blocks = []
     for label in range(4):

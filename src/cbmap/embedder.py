@@ -20,6 +20,7 @@ from . import membership as mb
 from .clustering import KmeansConfig, kmeans_fit, update_centers
 from .linalg_core import (
     as_data_matrix,
+    check_seed,
     euclidean_distance_matrix,
     pca_fit,
     pca_transform,
@@ -71,8 +72,7 @@ class CbmapConfig:
         if not 0 < self.init_noise_std < math.inf:
             raise ValueError(
                 f"init_noise_std must be finite and positive, got {self.init_noise_std}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,7 @@ def init_embedding(labels, centers_low, noise_std: float, seed) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= centers_low.shape[0]:
         raise ValueError(f"labels must lie in [0, {centers_low.shape[0]}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((labels.shape[0], centers_low.shape[1])) * noise_std
     return centers_low[labels] + noise
@@ -360,7 +361,8 @@ def load_model(path) -> CbmapModel:
 
 def _model_from_doc(doc) -> CbmapModel:
     """The model a version-1 document describes, with every field's type,
-    shape and range checked; raises ValueError, or KeyError for a missing key."""
+    shape and range checked, and the cluster count and width in the config
+    checked against the centers; raises ValueError, or KeyError for a missing key."""
     k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
     cfg_doc = _object(doc["config"], "config")
     kcfg = None
@@ -379,11 +381,11 @@ def _model_from_doc(doc) -> CbmapModel:
     sigma_low = _typed(doc, "sigma_low", float)
     if sigma_high <= 0 or sigma_low <= 0:
         raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
-    return CbmapModel(
-        centers_high=_reshape(doc["centers_high"], (k, d), "centers_high"),
-        centers_low=_reshape(doc["centers_low"], (k, m), "centers_low"),
-        sigma_high=sigma_high,
-        sigma_low=sigma_low,
-        config=cfg,
-        feature_scaler=scaler,
-    )
+    centers_high = _reshape(doc["centers_high"], (k, d), "centers_high")
+    centers_low = _reshape(doc["centers_low"], (k, m), "centers_low")
+    for name, value, key, size in (("config.n_clusters", cfg.n_clusters, "k", k),
+                                   ("config.out_dim", cfg.out_dim, "m", m),
+                                   ("config.clustering.k", kcfg.k if kcfg else k, "k", k)):
+        if value != size:
+            raise ValueError(f"model field {name!r} is {value}, but field {key!r} is {size}")
+    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, cfg, scaler)

@@ -1,4 +1,4 @@
-"""Dense-matrix primitives: pairwise distances, z-scoring, and PCA."""
+"""Dense-matrix primitives (pairwise distances, z-scoring, PCA) and the shared input checks."""
 
 from __future__ import annotations
 
@@ -23,6 +23,12 @@ def as_data_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def check_seed(seed) -> None:
+    """Reject a negative seed by name; numpy's own error does not say which value was wrong."""
+    if isinstance(seed, (int, float, np.integer, np.floating)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)

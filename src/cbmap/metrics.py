@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, euclidean_distance_matrix, pca_fit, pca_transform
+from .linalg_core import (as_data_matrix, check_seed, euclidean_distance_matrix, pca_fit,
+                          pca_transform)
 
 # Test points per kNN block are chosen so that a block's test-by-train
 # distances stay at most this many float64 elements (2 MB).
@@ -26,19 +27,16 @@ class HoldoutSpec:
     test_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        check_seed(self.seed)
+
 
 @dataclass(frozen=True)
 class MetricReport:
     global_score: float
     knn_accuracy: float | None
-    runtime_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gs": self.global_score,
-            "acc": self.knn_accuracy,
-            "runtime_seconds": self.runtime_seconds,
-        }
 
 
 def _min_reconstruction_error(x_centered, y_centered) -> float:
@@ -153,10 +151,7 @@ def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> flo
     return correct / test_idx.size
 
 
-def evaluate(x, y, labels=None, knn_k: int = 3, split: HoldoutSpec | None = None,
-             runtime_seconds: float = 0.0) -> MetricReport:
+def evaluate(x, y, labels=None) -> MetricReport:
     """Bundle the global score (always) and kNN accuracy (when labels exist)."""
-    acc = None if labels is None else knn_accuracy(y, labels, k=knn_k, split=split)
-    return MetricReport(
-        global_score=global_score(x, y), knn_accuracy=acc, runtime_seconds=runtime_seconds
-    )
+    acc = None if labels is None else knn_accuracy(y, labels)
+    return MetricReport(global_score=global_score(x, y), knn_accuracy=acc)

@@ -53,6 +53,16 @@ class TestGenerate:
         assert set(np.unique(loaded.labels)) == {0, 1, 2, 3}
         assert (tmp_path / "cuboids.csv.manifest.json").exists()
 
+    def test_manifest_is_strict_json_when_an_unused_flag_is_nan(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "s_curve", "--n", "50", "--gap", "nan", "-o", str(out)]) == 0
+
+        def reject(literal):
+            raise ValueError(f"not strict JSON: {literal}")
+
+        doc = json.loads(Path(f"{out}.manifest.json").read_text(), parse_constant=reject)
+        assert doc["config"] == {"dataset": "s_curve", "n": 50, "noise": 0.0}
+
     def test_same_seed_gives_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["generate", "s_curve", "--n", "1000", "--seed", "1", "-o", str(a)]) == 0
@@ -321,6 +331,19 @@ class TestTransform:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
+
+    def test_config_that_disagrees_with_the_centers_is_a_one_line_error(self, fitted, tmp_path,
+                                                                          capsys):
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        doc["config"]["n_clusters"] = 9
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: model field 'config.n_clusters' is 9, but field 'k' is 4"]
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("field", [
         "sigma_high", "sigma_low", "config.learning_rate", "config.init_noise_std",
@@ -627,8 +650,11 @@ class TestManifest:
     def test_every_command_records_its_settings(self, tmp_path):
         table, emb = tmp_path / "s.csv", tmp_path / "emb.csv"
         runs = [
-            (["generate", "s_curve", "--n", "60", "-o", str(table)],
-             {"dataset", "n", "n_per", "gap", "noise"}),
+            (["generate", "s_curve", "--n", "60", "-o", str(table)], {"dataset", "n", "noise"}),
+            (["generate", "sphere", "--n", "60", "-o", str(tmp_path / "sphere.csv")],
+             {"dataset", "n"}),
+            (["generate", "cuboids", "--n-per", "5", "-o", str(tmp_path / "cuboids.csv")],
+             {"dataset", "n_per", "gap"}),
             (["fit", str(table), "--k", "4", "--max-iter", "20", "--label-col", "label",
               "-o", str(emb)],
              {"k", "dim", "max_iter", "lr", "init", "standardize"}),

@@ -98,8 +98,10 @@ class TestExpandedAssignment:
         rng = np.random.default_rng(6)
         basis, _ = np.linalg.qr(rng.standard_normal((32, 3)))
         x = roll @ basis.T + rng.normal(0.0, 0.3, (600, 32))
-        for mode in ("full", "minibatch"):
-            cfg = cl.KmeansConfig(k=12, mode=mode, batch_size=128, max_iters=20, seed=1)
+        cfg = cl.KmeansConfig(k=12, max_iters=20, seed=1)
+        for limit in (601, 0):  # Lloyd on the 600 rows, then the mini-batch driver
+            monkeypatch.setattr(cl, "FULL_BATCH_LIMIT", limit)
+            monkeypatch.setattr(cl, "BATCH_SIZE", 128)
             fast = cl.kmeans_fit(x, cfg)
             monkeypatch.setattr(cl, "_EXPANDED_MIN_D", x.shape[1] + 1)
             exact = cl.kmeans_fit(x, cfg)
@@ -113,7 +115,7 @@ class TestKmeansFit:
     def test_k_equals_n(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=(8, 2))
-        out = cl.kmeans_fit(x, cl.KmeansConfig(k=8, mode="full"))
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=8))
         assert out.inertia == pytest.approx(0.0, abs=1e-20)
         # every point is its own center, in some order
         assert sorted(map(tuple, out.centers)) == sorted(map(tuple, x))
@@ -127,7 +129,7 @@ class TestKmeansFit:
 
     def test_recovers_separated_blobs(self, blob_data):
         x, blob_id = blob_data
-        out = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="full", seed=0))
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=2, seed=0))
         true_means = [x[blob_id == b].mean(axis=0) for b in (0, 1)]
         for center in out.centers:
             assert min(np.linalg.norm(center - tm) for tm in true_means) < 0.2
@@ -137,7 +139,7 @@ class TestKmeansFit:
 
     def test_full_batch_centers_are_group_means(self, blob_data):
         x, _ = blob_data
-        out = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="full", seed=0))
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=2, seed=0))
         for j in range(2):
             np.testing.assert_allclose(out.centers[j], x[out.labels == j].mean(axis=0),
                                        atol=1e-8)
@@ -152,21 +154,22 @@ class TestKmeansFit:
         assert np.all(np.diff(trace) <= 1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_minibatch_agrees_with_full_on_blobs(self, blob_data, seed):
+    def test_minibatch_agrees_with_full_on_blobs(self, blob_data, seed, monkeypatch):
         x, _ = blob_data
-        full = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="full", seed=seed))
-        mini = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="minibatch", batch_size=32,
-                                                seed=seed))
+        full = cl.kmeans_fit(x, cl.KmeansConfig(k=2, seed=seed))
+        monkeypatch.setattr(cl, "FULL_BATCH_LIMIT", 0)
+        monkeypatch.setattr(cl, "BATCH_SIZE", 32)
+        mini = cl.kmeans_fit(x, cl.KmeansConfig(k=2, seed=seed))
         np.testing.assert_array_equal(full.labels == full.labels[0],
                                       mini.labels == mini.labels[0])
 
     @pytest.mark.parametrize("d", [2, 3, 16])
-    def test_minibatch_equals_the_per_label_update(self, d):
-        def per_label(x, cfg, rng):
-            centers = cl._kmeans_plusplus(x, cfg.k, rng)
-            counts = np.zeros(cfg.k)
-            for _ in range(cfg.max_iters):
-                batch = x[rng.choice(x.shape[0], size=cfg.batch_size, replace=False)]
+    def test_minibatch_equals_the_per_label_update(self, d, monkeypatch):
+        def per_label(x, k, max_iters, rng):
+            centers = cl._kmeans_plusplus(x, k, rng)
+            counts = np.zeros(k)
+            for _ in range(max_iters):
+                batch = x[rng.choice(x.shape[0], size=cl.BATCH_SIZE, replace=False)]
                 batch_labels = cl.assign_labels(batch, centers)
                 for j in np.unique(batch_labels):
                     members = batch[batch_labels == j]
@@ -177,24 +180,32 @@ class TestKmeansFit:
 
         x = np.random.default_rng(d).normal(size=(300, d)) * [10.0**-i for i in range(d)]
         # a batch of 8 rows misses at least 4 of the 12 centers
-        cfg = cl.KmeansConfig(k=12, mode="minibatch", batch_size=8, max_iters=40, seed=d)
-        centers, labels, _ = cl._minibatch(x, cfg, np.random.default_rng(cfg.seed))
-        ref_centers, ref_labels = per_label(x, cfg, np.random.default_rng(cfg.seed))
+        monkeypatch.setattr(cl, "BATCH_SIZE", 8)
+        centers, labels, _ = cl._minibatch(x, 12, 40, np.random.default_rng(d))
+        ref_centers, ref_labels = per_label(x, 12, 40, np.random.default_rng(d))
         assert centers.tobytes() == ref_centers.tobytes()
         assert labels.tobytes() == ref_labels.tobytes()
 
-    def test_minibatch_covers_every_cluster(self):
+    def test_minibatch_covers_every_cluster(self, monkeypatch):
         rng = np.random.default_rng(35)
         x = rng.normal(size=(400, 3))
-        out = cl.kmeans_fit(x, cl.KmeansConfig(k=10, mode="minibatch", batch_size=64, seed=2))
+        monkeypatch.setattr(cl, "FULL_BATCH_LIMIT", 0)
+        monkeypatch.setattr(cl, "BATCH_SIZE", 64)
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=10, seed=2))
         assert set(np.unique(out.labels)) == set(range(10))
 
-    def test_auto_mode_matches_full_batch_below_limit(self, blob_data):
-        x, _ = blob_data
-        auto = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="auto", seed=3))
-        full = cl.kmeans_fit(x, cl.KmeansConfig(k=2, mode="full", seed=3))
-        np.testing.assert_array_equal(auto.labels, full.labels)
-        np.testing.assert_array_equal(auto.centers, full.centers)
+    @pytest.mark.parametrize("n", [cl.FULL_BATCH_LIMIT - 1, cl.FULL_BATCH_LIMIT])
+    def test_the_row_count_picks_the_driver(self, n):
+        x = np.random.default_rng(38).normal(size=(n, 2))
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=3, max_iters=5, seed=3))
+        rng = np.random.default_rng(3)
+        if n < cl.FULL_BATCH_LIMIT:
+            runs = [cl._lloyd_once(x, 3, 5, rng) for _ in range(cl.N_INIT)]
+            centers, labels, _ = min(runs, key=lambda run: run[2])
+        else:
+            centers, labels, _ = cl._minibatch(x, 3, 5, rng)
+        assert out.centers.tobytes() == centers.tobytes()
+        assert out.labels.tobytes() == labels.astype(np.int64).tobytes()
 
     def test_deterministic_for_fixed_seed(self, blob_data):
         x, _ = blob_data
@@ -236,7 +247,7 @@ class TestKmeansFit:
         # seeding falls back to uniform draws once every point sits on a
         # chosen center; the fit must still terminate with zero inertia
         x = np.array([[1.0, 1.0]] * 6 + [[4.0, 4.0]] * 6)
-        out = cl.kmeans_fit(x, cl.KmeansConfig(k=3, mode="full", seed=0))
+        out = cl.kmeans_fit(x, cl.KmeansConfig(k=3, seed=0))
         assert out.inertia == pytest.approx(0.0, abs=1e-20)
 
 
@@ -288,10 +299,7 @@ class TestKmeansConfig:
         "kwargs",
         [
             {"k": 0},
-            {"k": 2, "mode": "bogus"},
-            {"k": 2, "batch_size": 0},
             {"k": 2, "max_iters": 0},
-            {"k": 2, "n_init": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

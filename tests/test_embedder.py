@@ -249,6 +249,30 @@ class TestCbmapConfig:
             cbmap.CbmapConfig(n_clusters=4, **{field: value})
 
 
+_NEGATIVE_SEED = "seed must be nonnegative, got -1"
+_FRACTION = r"test_fraction must lie in \(0, 1\), got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cbmap.make_s_curve(10, seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.make_swiss_roll(10, seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.make_severed_sphere(10, seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.make_cuboids(5, seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.transform(_golden_model(), np.zeros((2, 4)), seed=np.int64(-1)),
+     _NEGATIVE_SEED),
+    (lambda: KmeansConfig(k=2, seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.HoldoutSpec(seed=-1), _NEGATIVE_SEED),
+    (lambda: cbmap.HoldoutSpec(test_fraction=0.0), _FRACTION + "0.0"),
+    (lambda: cbmap.HoldoutSpec(test_fraction=1), _FRACTION + "1"),
+    (lambda: cbmap.HoldoutSpec(test_fraction=1.5), _FRACTION + "1.5"),
+    (lambda: cbmap.HoldoutSpec(test_fraction=float("nan")), _FRACTION + "nan"),
+], ids=["s_curve", "swiss_roll", "sphere", "cuboids", "transform", "kmeans", "holdout-seed",
+        "fraction-0", "fraction-1", "fraction-1.5", "fraction-nan"])
+def test_negative_seed_or_holdout_fraction_outside_0_1_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestTransform:
     def test_training_data_maps_near_fit_embedding(self, blob_fit):
         data, result = blob_fit
@@ -437,6 +461,9 @@ class TestModelSerialization:
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden.model.json"
+# The golden model as written while KmeansConfig still had mode, batch_size
+# and n_init; it sets them to "full", 64 and 2.
+OLD_GOLDEN = Path(__file__).parent / "data" / "old_clustering_keys.model.json"
 
 
 def _golden_model():
@@ -447,7 +474,7 @@ def _golden_model():
     centers_low = np.array([[-1.224744871391589, 0.5], [0.0, -1.0], [1.224744871391589, 0.5]])
     config = cbmap.CbmapConfig(
         n_clusters=3, out_dim=2, max_iter=7, learning_rate=0.05, center_init="random",
-        clustering=KmeansConfig(k=3, mode="full", batch_size=64, max_iters=9, seed=11, n_init=2),
+        clustering=KmeansConfig(k=3, max_iters=9, seed=11),
         init_noise_std=0.25, seed=11,
     )
     scaler = (np.array([0.5, -1.0, 2.0, 1e10]), np.array([1.5, 0.0, 0.25, 3.0]))
@@ -475,6 +502,17 @@ class TestModelFormat:
         assert loaded.config == expected.config
         for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
             np.testing.assert_array_equal(got, want)
+        path = tmp_path / "model.json"
+        cbmap.save_model(loaded, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_file_with_the_old_clustering_keys_loads_transforms_and_saves_new(self, tmp_path):
+        expected = _golden_model()
+        loaded = cbmap.load_model(OLD_GOLDEN)
+        assert loaded.config == expected.config
+        x = np.random.default_rng(0).normal(size=(20, 4)) * [1.0, 1.0, 1.0, 1e10]
+        assert (cbmap.transform(loaded, x, iters=30).tobytes()
+                == cbmap.transform(expected, x, iters=30).tobytes())
         path = tmp_path / "model.json"
         cbmap.save_model(loaded, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
@@ -507,6 +545,10 @@ class TestModelFormat:
         ({"n_clusters": 2.5}, "config.n_clusters"),
         ({"clustering": replace(_golden_model().config.clustering, seed=None)},
          "config.clustering.seed"),
+        ({"n_clusters": 4}, "config.n_clusters"),
+        ({"out_dim": 3}, "config.out_dim"),
+        ({"clustering": replace(_golden_model().config.clustering, k=4)},
+         "config.clustering.k"),
     ])
     def test_setting_the_reader_rejects_fails_to_save(self, tmp_path, changes, field):
         path = tmp_path / "model.json"
@@ -534,16 +576,24 @@ class TestModelFormat:
             cbmap.save_model(replace(_golden_model(), **changes), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
-    @pytest.mark.parametrize("section", [(), ("clustering",)])
-    def test_negative_seed_in_a_file_is_rejected(self, tmp_path, section):
+    @pytest.mark.parametrize("section, key, value, message", [
+        ((), "seed", -1, "seed must be nonnegative, got -1"),
+        (("clustering",), "seed", -1, "seed must be nonnegative, got -1"),
+        ((), "n_clusters", 9, "model field 'config.n_clusters' is 9, but field 'k' is 3"),
+        ((), "out_dim", 7, "model field 'config.out_dim' is 7, but field 'm' is 2"),
+        (("clustering",), "k", 4, "model field 'config.clustering.k' is 4, but field 'k' is 3"),
+    ], ids=["negative-seed", "negative-clustering-seed", "n_clusters-not-k", "out_dim-not-m",
+            "clustering-k-not-k"])
+    def test_setting_in_a_file_the_reader_rejects_is_named(self, tmp_path, section, key, value,
+                                                           message):
         doc = json.loads(GOLDEN.read_text())
         target = doc["config"]
         for name in section:
             target = target[name]
-        target["seed"] = -1
+        target[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             cbmap.load_model(path)
 
     def test_integer_float_settings_are_byte_stable(self, tmp_path):
@@ -609,6 +659,7 @@ class TestModelFileFuzz:
             return
         k, _ = model.centers_high.shape
         assert model.centers_low.ndim == 2 and model.centers_low.shape[0] == k
+        assert (model.config.n_clusters, model.config.out_dim) == model.centers_low.shape
         assert np.all(np.isfinite(model.centers_high)) and np.all(np.isfinite(model.centers_low))
         assert model.sigma_high > 0 and model.sigma_low > 0
         assert np.isfinite(model.sigma_high) and np.isfinite(model.sigma_low)

@@ -168,16 +168,10 @@ class TestKnnAccuracy:
 class TestEvaluate:
     def test_bundles_both_metrics(self, s_curve_data):
         labels = make_s_curve(400, seed=0).labels
-        report = mx.evaluate(s_curve_data, _pca_embedding(s_curve_data), labels,
-                             runtime_seconds=1.5)
+        report = mx.evaluate(s_curve_data, _pca_embedding(s_curve_data), labels)
         assert report.global_score == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= report.knn_accuracy <= 1.0
-        assert report.runtime_seconds == 1.5
 
     def test_accuracy_absent_without_labels(self, s_curve_data):
         report = mx.evaluate(s_curve_data, _pca_embedding(s_curve_data))
         assert report.knn_accuracy is None
-
-    def test_to_dict_schema(self, s_curve_data):
-        report = mx.evaluate(s_curve_data, _pca_embedding(s_curve_data))
-        assert set(report.to_dict()) == {"gs", "acc", "runtime_seconds"}
