@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -211,10 +212,7 @@ def cmd_fit(args):
 def cmd_transform(args):
     model = load_model(args.model)
     ds, source = _read_input(args)
-    x = ds.data
-    if model.feature_scaler is not None:
-        x = apply_scaler(x, *model.feature_scaler)
-    y = transform(model, x, iters=args.iters, seed=args.seed)
+    y = transform(model, ds.data, iters=args.iters, seed=args.seed)
     out = Path(args.out)
     _write_embedding(out, y, ds.labels)
     if args.verbose:
@@ -334,17 +332,20 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
-    try:
-        config, outputs = args.func(args)
-        doc = {"command": args.command, "argv": list(argv), "config": config,
-               "seed": getattr(args, "seed", None), "outputs": [str(p) for p in outputs],
-               "elapsed_s": time.perf_counter() - t0}
-        with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, in the style of the error lines
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config, outputs = args.func(args)
+            doc = {"command": args.command, "argv": list(argv), "config": config,
+                   "seed": getattr(args, "seed", None), "outputs": [str(p) for p in outputs],
+                   "elapsed_s": time.perf_counter() - t0}
+            with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import membership as mb
 from .clustering import KmeansConfig, kmeans_fit, update_centers
+from .datasets import _utf8_error
 from .linalg_core import (
+    apply_scaler,
     as_data_matrix,
     check_seed,
     euclidean_distance_matrix,
@@ -34,8 +36,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _CENTER_INITS = ("pca", "random")
-# kinds of the config dataclasses' fields, whose annotations are strings
-_KINDS = {"int": int, "float": float, "str": str}
+# the settings transform reads, as stored under a model file's "config"
+_SETTINGS = (("learning_rate", float), ("init_noise_std", float), ("seed", int))
+# positions this far out keep every square below 1e301, so the distances and
+# the centers' variance stay finite for up to 1e7 dimensions or clusters
+_MAX_POSITION = 1e150
 
 
 @dataclass(frozen=True)
@@ -77,14 +82,16 @@ class CbmapConfig:
 
 @dataclass(frozen=True)
 class CbmapModel:
-    """Everything needed to embed new points with a frozen fit."""
+    """Everything :func:`transform` reads to embed new points with a frozen fit."""
 
     centers_high: np.ndarray  # (k, d)
     centers_low: np.ndarray  # (k, m)
     sigma_high: float
     sigma_low: float
-    config: CbmapConfig
-    feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) applied upstream
+    learning_rate: float
+    init_noise_std: float
+    seed: int
+    feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) of the raw input
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,8 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     """One Adam step of the points toward the high-dimensional memberships.
 
     Shared by the fit and transform loops; returns the new positions, the
-    new Adam state and the loss at the positions before the step.
+    new Adam state and the loss at the positions before the step. A step
+    that moves a position beyond +-_MAX_POSITION raises ValueError.
     """
     # the memberships exp(-dist^2 / (2 sigma^2)), formed in place from the
     # squared distances
@@ -149,7 +157,12 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     np.exp(u_low, out=u_low)
     loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
-    y, state = adam_update(y, grad, state, learning_rate, step_index)
+    # an overflowing step is reported below, by the setting that caused it
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, state = adam_update(y, grad, state, learning_rate, step_index)
+    if not np.abs(y).max() < _MAX_POSITION:
+        raise ValueError(f"learning_rate={learning_rate} moved the positions beyond "
+                         f"+-{_MAX_POSITION:g} at step {step_index}; lower it")
     return y, state, loss
 
 
@@ -209,21 +222,17 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
         centers_low = zscore_normalize(update_centers(y, labels, centers_low))
         s_low = mb.sigma_low(centers_low)
 
-    model = CbmapModel(
-        centers_high=centers_high,
-        centers_low=centers_low,
-        sigma_high=s_high,
-        sigma_low=s_low,
-        config=replace(cfg, clustering=kcfg),
-    )
+    model = CbmapModel(centers_high, centers_low, s_high, s_low,
+                       cfg.learning_rate, cfg.init_noise_std, cfg.seed)
     return FitResult(embedding=y, loss_history=history, model=model, labels=labels)
 
 
 def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarray:
     """Embed new points with a frozen model.
 
-    Memberships of the new points use the stored high-dimensional centers and
-    bandwidth; each point starts at the low-dimensional center it is most
+    The rows are first scaled by the model's ``feature_scaler``, if it has
+    one. Memberships of the new points use the stored high-dimensional centers
+    and bandwidth; each point starts at the low-dimensional center it is most
     strongly a member of (plus seeded noise) and is refined by Adam while the
     centers and low bandwidth stay fixed.
     """
@@ -235,7 +244,8 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
         raise ValueError(f"iters must be at least 1, got {iters}")
     if model.sigma_low <= 0:
         raise ValueError(f"sigma_low must be positive, got {model.sigma_low}")
-    cfg = model.config
+    if model.feature_scaler is not None:
+        x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
 
     dist_high = euclidean_distance_matrix(x, model.centers_high)
     u_high = mb.membership_matrix(dist_high, model.sigma_high)
@@ -243,12 +253,12 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
     # membership in a row underflows to zero
     nearest = np.argmin(dist_high, axis=1)
 
-    y = init_embedding(nearest, model.centers_low, cfg.init_noise_std,
-                       cfg.seed if seed is None else seed)
+    y = init_embedding(nearest, model.centers_low, model.init_noise_std,
+                       model.seed if seed is None else seed)
     state = AdamState.zeros(y.shape)
     for it in range(iters):
         y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
-                                    cfg.learning_rate, it + 1)
+                                    model.learning_rate, it + 1)
     return y
 
 
@@ -263,12 +273,8 @@ def save_model(model: CbmapModel, path) -> None:
     every value bit-for-bit.
     """
     k, d = model.centers_high.shape
-    config = _settings(vars(model.config), CbmapConfig, "config.")
-    config["clustering"] = None
+    config = {key: _typed(vars(model), key, kind, "config.") for key, kind in _SETTINGS}
     config["feature_scaler"] = None
-    if model.config.clustering is not None:
-        config["clustering"] = _settings(vars(model.config.clustering), KmeansConfig,
-                                         "config.clustering.")
     if model.feature_scaler is not None:
         mean, std = model.feature_scaler
         config["feature_scaler"] = {"mean": list(map(float, mean)), "std": list(map(float, std))}
@@ -306,12 +312,12 @@ def _reshape(values, shape, what):
 
 
 def _typed(doc, key, kind, where=""):
-    """``doc[key]`` as ``kind`` (int, float or str), or a ValueError naming the field."""
+    """``doc[key]`` as ``kind`` (int or float), or a ValueError naming the field."""
     name = where + key
     value = doc[key]
     try:
         # bool is an int subclass, and int() and float() would parse strings
-        if isinstance(value, bool) or isinstance(value, str) != (kind is str):
+        if isinstance(value, (bool, str)):
             raise TypeError
         typed = kind(value)
     except (TypeError, ValueError):
@@ -326,12 +332,6 @@ def _typed(doc, key, kind, where=""):
     return typed
 
 
-def _settings(doc, cls, where) -> dict:
-    """``cls``'s fields but ``clustering``, read from ``doc`` by :func:`_typed` in file order."""
-    return {f.name: _typed(doc, f.name, _KINDS[f.type], where)
-            for f in fields(cls) if f.name != "clustering"}
-
-
 def _object(value, what):
     if not isinstance(value, dict):
         raise ValueError(f"model field {what!r} must be an object, got {value!r}")
@@ -341,11 +341,16 @@ def _object(value, what):
 def load_model(path) -> CbmapModel:
     """Read a model written by :func:`save_model`, validating version, types and shapes.
 
-    Keys the format does not define (such as the ``center_pca`` basis older
-    writers stored) are ignored.
+    Keys the format does not define (such as the fit-only settings and the
+    ``center_pca`` basis older writers stored) are ignored.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {_utf8_error(path)}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file must contain a JSON object")
     version = doc.get("version")
@@ -361,18 +366,21 @@ def load_model(path) -> CbmapModel:
 
 def _model_from_doc(doc) -> CbmapModel:
     """The model a version-1 document describes, with every field's type,
-    shape and range checked, and the cluster count and width in the config
-    checked against the centers; raises ValueError, or KeyError for a missing key."""
+    shape and range checked; raises ValueError, or KeyError for a missing key."""
     k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
-    cfg_doc = _object(doc["config"], "config")
-    kcfg = None
-    if cfg_doc.get("clustering") is not None:
-        kc = _object(cfg_doc["clustering"], "config.clustering")
-        kcfg = KmeansConfig(**_settings(kc, KmeansConfig, "config.clustering."))
-    cfg = CbmapConfig(clustering=kcfg, **_settings(cfg_doc, CbmapConfig, "config."))
+    cfg = _object(doc["config"], "config")
+    learning_rate, init_noise_std, seed = (_typed(cfg, key, kind, "config.")
+                                           for key, kind in _SETTINGS)
+    for key, value, least in (("k", k, 2), ("d", d, 1), ("m", m, 1)):
+        if value < least:
+            raise ValueError(f"model field {key!r} must be at least {least}, got {value}")
+    check_seed(seed)
+    for key, value in (("learning_rate", learning_rate), ("init_noise_std", init_noise_std)):
+        if value <= 0:
+            raise ValueError(f"model field 'config.{key}' must be positive, got {value}")
     scaler = None
-    if cfg_doc.get("feature_scaler") is not None:
-        sc = _object(cfg_doc["feature_scaler"], "config.feature_scaler")
+    if cfg.get("feature_scaler") is not None:
+        sc = _object(cfg["feature_scaler"], "config.feature_scaler")
         scaler = (
             _reshape(sc["mean"], (d,), "feature_scaler.mean"),
             _reshape(sc["std"], (d,), "feature_scaler.std"),
@@ -383,9 +391,5 @@ def _model_from_doc(doc) -> CbmapModel:
         raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
     centers_high = _reshape(doc["centers_high"], (k, d), "centers_high")
     centers_low = _reshape(doc["centers_low"], (k, m), "centers_low")
-    for name, value, key, size in (("config.n_clusters", cfg.n_clusters, "k", k),
-                                   ("config.out_dim", cfg.out_dim, "m", m),
-                                   ("config.clustering.k", kcfg.k if kcfg else k, "k", k)):
-        if value != size:
-            raise ValueError(f"model field {name!r} is {value}, but field {key!r} is {size}")
-    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, cfg, scaler)
+    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate,
+                      init_noise_std, seed, scaler)

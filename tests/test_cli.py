@@ -244,6 +244,53 @@ class TestFit:
                          "-o", str(dst)]) == 0
         assert projected[0].read_bytes() == projected[1].read_bytes()
 
+    def test_library_transform_of_a_standardized_model_matches_the_cli(self, tmp_path):
+        # a second column 100 times wider, so that leaving it unscaled shows
+        data, _ = two_blobs(50, seed=20)
+        data[:, 1] *= 100.0
+        table = tmp_path / "blobs.csv"
+        write_csv(table, data)
+        assert main(["fit", str(table), "--k", "4", "--max-iter", "60", "--standardize",
+                     "-o", str(tmp_path / "emb.csv")]) == 0
+        model_path = tmp_path / "emb.model.json"
+        projected = tmp_path / "proj.csv"
+        assert main(["transform", str(model_path), str(table), "-o", str(projected)]) == 0
+        library = cbmap.transform(cbmap.load_model(model_path), data)
+        assert load_csv(projected).data.tobytes() == library.tobytes()
+
+    def test_center_init_fallback_is_one_warning_line(self, tmp_path, capsys):
+        cuboids = cbmap.make_cuboids(1, seed=0)
+        table = tmp_path / "c.csv"
+        write_csv(table, cuboids.data, cuboids.labels)
+        code = main(["fit", str(table), "--k", "2", "--label-col", "label",
+                     "-o", str(tmp_path / "emb.csv")])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: n_clusters=2 <= out_dim=2; falling back to random center initialization"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_learning_rate_that_overflows_the_positions_is_a_one_line_error(tmp_path, capsys):
+    curve = cbmap.make_s_curve(50, seed=0)
+    table = tmp_path / "s.csv"
+    write_csv(table, curve.data, curve.labels)
+    out = tmp_path / "e.csv"
+    message = "error: learning_rate=1e+308 moved the positions beyond +-1e+150 at step 1; lower it"
+    assert main(["fit", str(table), "--k", "5", "--lr", "1e308", "--max-iter", "5",
+                 "--label-col", "label", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert main(["fit", str(table), "--k", "5", "--max-iter", "5", "--label-col", "label",
+                 "-o", str(out)]) == 0
+    model_path = tmp_path / "e.model.json"
+    doc = json.loads(model_path.read_text())
+    doc["config"]["learning_rate"] = 1e308
+    model_path.write_text(json.dumps(doc))
+    projected = tmp_path / "p.csv"
+    assert main(["transform", str(model_path), str(table), "--label-col", "label",
+                 "-o", str(projected)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not projected.exists()
+
 
 @pytest.mark.parametrize("command", ["fit", "benchmark"])
 @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -312,7 +359,6 @@ class TestTransform:
         ("k", None),
         ("sigma_high", None),
         ("config.seed", None),
-        ("config.clustering", 5),
         ("config.feature_scaler", 3),
     ])
     def test_mistyped_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys,
@@ -331,19 +377,6 @@ class TestTransform:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
-
-    def test_config_that_disagrees_with_the_centers_is_a_one_line_error(self, fitted, tmp_path,
-                                                                          capsys):
-        table, _, model_path = fitted
-        doc = json.loads(model_path.read_text())
-        doc["config"]["n_clusters"] = 9
-        bad = tmp_path / "bad.model.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["transform", str(bad), str(table), "-o", str(tmp_path / "out.csv")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: model field 'config.n_clusters' is 9, but field 'k' is 4"]
-        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("field", [
         "sigma_high", "sigma_low", "config.learning_rate", "config.init_noise_std",
@@ -371,8 +404,6 @@ class TestTransform:
         pytest.param("centers_low.0", "1" + "0" * 400,
                      "model field 'centers_low' must be a list of finite", id="center-400-digits"),
         pytest.param("k", "5.7", "model field 'k' must be int", id="k-fraction"),
-        pytest.param("config.n_clusters", "2.9", "model field 'config.n_clusters' must be int",
-                     id="n_clusters-fraction"),
         pytest.param("centers_high", "[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]",
                      "model field 'centers_high' must be a flat list", id="nested-centers"),
         pytest.param("input", "9" * 140000, "line 2: field larger than field limit",
@@ -398,6 +429,22 @@ class TestTransform:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and message in err[0]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"not json\n", "line 1, column 1: Expecting value"),
+        (b"", "line 1, column 1: Expecting value"),
+        (b'{\n  "version": 1,\n  "k": ', "line 3, column 8: Expecting value"),
+        (b"\xff\xfe{}", "line 1: not valid UTF-8: byte 0xff at position 1; save the file as UTF-8"),
+    ], ids=["text", "empty", "truncated", "utf16-bom"])
+    def test_malformed_model_file_is_named(self, fitted, tmp_path, capsys, content, message):
+        table = fitted[0]
+        bad = tmp_path / "bad.model.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out.csv"
+        code = main(["transform", str(bad), str(table), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not out.exists()
 
     def test_same_seed_gives_identical_outputs(self, fitted, tmp_path):
         table, _, model_path = fitted
@@ -465,15 +512,10 @@ class TestNegativeSeed:
         assert err == ["error: --seeds entries must be nonnegative, got '0,-1'"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("section", [(), ("clustering",)])
-    def test_negative_seed_in_a_model_file_is_a_one_line_error(self, fitted, tmp_path,
-                                                               capsys, section):
+    def test_negative_seed_in_a_model_file_is_a_one_line_error(self, fitted, tmp_path, capsys):
         table, _, model_path = fitted
         doc = json.loads(model_path.read_text())
-        target = doc["config"]
-        for name in section:
-            target = target[name]
-        target["seed"] = -1
+        doc["config"]["seed"] = -1
         bad = tmp_path / "bad.model.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "out.csv"

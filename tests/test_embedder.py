@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -166,7 +167,7 @@ class TestFit:
 
     def test_labels_come_from_high_dim_clustering(self, blob_fit):
         data, result = blob_fit
-        km = cbmap.kmeans_fit(data, result.model.config.clustering)
+        km = cbmap.kmeans_fit(data, KmeansConfig(k=4, seed=0))
         np.testing.assert_array_equal(result.labels, km.labels)
         np.testing.assert_array_equal(result.model.centers_high, km.centers)
 
@@ -206,6 +207,18 @@ class TestFit:
             assert np.all(np.isfinite(cbmap.fit(data * 1e150, cfg).embedding))
             with pytest.raises(ValueError, match="squared distances overflow float64"):
                 cbmap.fit(data * 1e160, cfg)
+
+    @pytest.mark.parametrize("lr", [1e160, 1e308])
+    def test_learning_rate_that_overflows_the_positions_is_named(self, blob_fit, lr):
+        data, result = blob_fit
+        message = re.escape(f"learning_rate={lr} moved the positions beyond +-1e+150 at step 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                cbmap.fit(data, cbmap.CbmapConfig(n_clusters=4, learning_rate=lr, max_iter=5,
+                                                  seed=0))
+            with pytest.raises(ValueError, match=message):
+                cbmap.transform(replace(result.model, learning_rate=lr), data[:20])
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -300,7 +313,7 @@ class TestTransform:
     def test_default_seed_is_the_model_seed(self, blob_fit):
         data, result = blob_fit
         a = cbmap.transform(result.model, data[:20])
-        b = cbmap.transform(result.model, data[:20], seed=result.model.config.seed)
+        b = cbmap.transform(result.model, data[:20], seed=result.model.seed)
         np.testing.assert_array_equal(a, b)
 
     def test_explicit_seed_reproduces(self, blob_fit):
@@ -390,7 +403,7 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.centers_low, result.model.centers_low)
         assert loaded.sigma_high == result.model.sigma_high
         assert loaded.sigma_low == result.model.sigma_low
-        assert loaded.config == result.model.config
+        assert _settings(loaded) == _settings(result.model)
         assert loaded.feature_scaler is None
 
     def test_file_with_center_pca_basis_still_loads(self, blob_fit, tmp_path):
@@ -460,10 +473,16 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.feature_scaler[1], scaler[1])
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden.model.json"
-# The golden model as written while KmeansConfig still had mode, batch_size
-# and n_init; it sets them to "full", 64 and 2.
-OLD_GOLDEN = Path(__file__).parent / "data" / "old_clustering_keys.model.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden.model.json"
+# The golden model as written with the whole fit config under "config": the
+# CbmapConfig fields and, under "clustering", those of KmeansConfig, once while
+# KmeansConfig still had mode, batch_size and n_init ("full", 64 and 2).
+OLD_GOLDENS = [DATA / "full_config.model.json", DATA / "old_clustering_keys.model.json"]
+
+
+def _settings(model):
+    return model.learning_rate, model.init_noise_std, model.seed
 
 
 def _golden_model():
@@ -472,19 +491,10 @@ def _golden_model():
                              [123456.789, -0.0, 5e-324, 2.0],
                              [-1.5e10, 0.7, 3.0, -4.25]])
     centers_low = np.array([[-1.224744871391589, 0.5], [0.0, -1.0], [1.224744871391589, 0.5]])
-    config = cbmap.CbmapConfig(
-        n_clusters=3, out_dim=2, max_iter=7, learning_rate=0.05, center_init="random",
-        clustering=KmeansConfig(k=3, max_iters=9, seed=11),
-        init_noise_std=0.25, seed=11,
-    )
     scaler = (np.array([0.5, -1.0, 2.0, 1e10]), np.array([1.5, 0.0, 0.25, 3.0]))
     return cbmap.CbmapModel(centers_high=centers_high, centers_low=centers_low,
-                            sigma_high=0.7071067811865476, sigma_low=1.25, config=config,
-                            feature_scaler=scaler)
-
-
-def _with_config(model, **changes):
-    return replace(model, config=replace(model.config, **changes))
+                            sigma_high=0.7071067811865476, sigma_low=1.25, learning_rate=0.05,
+                            init_noise_std=0.25, seed=11, feature_scaler=scaler)
 
 
 class TestModelFormat:
@@ -499,17 +509,20 @@ class TestModelFormat:
         np.testing.assert_array_equal(loaded.centers_high, expected.centers_high)
         np.testing.assert_array_equal(loaded.centers_low, expected.centers_low)
         assert (loaded.sigma_high, loaded.sigma_low) == (expected.sigma_high, expected.sigma_low)
-        assert loaded.config == expected.config
+        assert _settings(loaded) == _settings(expected)
         for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
             np.testing.assert_array_equal(got, want)
         path = tmp_path / "model.json"
         cbmap.save_model(loaded, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
-    def test_file_with_the_old_clustering_keys_loads_transforms_and_saves_new(self, tmp_path):
+    @pytest.mark.parametrize("old", OLD_GOLDENS, ids=lambda path: path.name)
+    def test_file_with_the_whole_fit_config_loads_transforms_and_saves_new(self, tmp_path, old):
         expected = _golden_model()
-        loaded = cbmap.load_model(OLD_GOLDEN)
-        assert loaded.config == expected.config
+        loaded = cbmap.load_model(old)
+        assert _settings(loaded) == _settings(expected)
+        for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
+            np.testing.assert_array_equal(got, want)
         x = np.random.default_rng(0).normal(size=(20, 4)) * [1.0, 1.0, 1.0, 1e10]
         assert (cbmap.transform(loaded, x, iters=30).tobytes()
                 == cbmap.transform(expected, x, iters=30).tobytes())
@@ -518,13 +531,8 @@ class TestModelFormat:
         assert path.read_bytes() == GOLDEN.read_bytes()
 
     def test_numpy_number_settings_save_as_plain_numbers(self, tmp_path):
-        model = _golden_model()
-        kcfg = model.config.clustering
-        clustering = KmeansConfig(**{name: np.int64(value) if isinstance(value, int) else value
-                                     for name, value in vars(kcfg).items()})
-        model = _with_config(model, n_clusters=np.int64(3), out_dim=np.int32(2),
-                             max_iter=np.int64(7), learning_rate=np.float64(0.05),
-                             seed=np.int64(11), clustering=clustering)
+        model = replace(_golden_model(), learning_rate=np.float64(0.05),
+                        init_noise_std=np.float32(0.25), seed=np.int64(11))
         path = tmp_path / "model.json"
         cbmap.save_model(model, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
@@ -535,26 +543,20 @@ class TestModelFormat:
             result = cbmap.fit(data, cbmap.CbmapConfig(n_clusters=k, max_iter=5, seed=0))
             path = tmp_path / f"k{k}.model.json"
             cbmap.save_model(result.model, path)
-            loaded = cbmap.load_model(path)
-            assert type(loaded.config.n_clusters) is int and loaded.config.n_clusters == k
-            assert loaded.config.clustering.k == k
+            doc = json.loads(path.read_text())
+            assert type(doc["k"]) is int and doc["k"] == k
+            assert cbmap.load_model(path).centers_high.shape[0] == k
 
     @pytest.mark.parametrize("changes, field", [
         ({"seed": None}, "config.seed"),
         ({"learning_rate": True}, "config.learning_rate"),
-        ({"n_clusters": 2.5}, "config.n_clusters"),
-        ({"clustering": replace(_golden_model().config.clustering, seed=None)},
-         "config.clustering.seed"),
-        ({"n_clusters": 4}, "config.n_clusters"),
-        ({"out_dim": 3}, "config.out_dim"),
-        ({"clustering": replace(_golden_model().config.clustering, k=4)},
-         "config.clustering.k"),
+        ({"seed": 2.5}, "config.seed"),
     ])
     def test_setting_the_reader_rejects_fails_to_save(self, tmp_path, changes, field):
         path = tmp_path / "model.json"
         path.write_bytes(GOLDEN.read_bytes())
         with pytest.raises(ValueError, match=f"model field '{field}'"):
-            cbmap.save_model(_with_config(_golden_model(), **changes), path)
+            cbmap.save_model(replace(_golden_model(), **changes), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("changes, message", [
@@ -576,31 +578,34 @@ class TestModelFormat:
             cbmap.save_model(replace(_golden_model(), **changes), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ((), "seed", -1, "seed must be nonnegative, got -1"),
-        (("clustering",), "seed", -1, "seed must be nonnegative, got -1"),
-        ((), "n_clusters", 9, "model field 'config.n_clusters' is 9, but field 'k' is 3"),
-        ((), "out_dim", 7, "model field 'config.out_dim' is 7, but field 'm' is 2"),
-        (("clustering",), "k", 4, "model field 'config.clustering.k' is 4, but field 'k' is 3"),
-    ], ids=["negative-seed", "negative-clustering-seed", "n_clusters-not-k", "out_dim-not-m",
-            "clustering-k-not-k"])
-    def test_setting_in_a_file_the_reader_rejects_is_named(self, tmp_path, section, key, value,
-                                                           message):
+    @pytest.mark.parametrize("path, value, message", [
+        (("config", "seed"), -1, "seed must be nonnegative, got -1"),
+        (("k",), 1, "model field 'k' must be at least 2, got 1"),
+        (("d",), 0, "model field 'd' must be at least 1, got 0"),
+        (("m",), 0, "model field 'm' must be at least 1, got 0"),
+        (("config", "learning_rate"), 0.0,
+         "model field 'config.learning_rate' must be positive, got 0.0"),
+        (("config", "init_noise_std"), -0.5,
+         "model field 'config.init_noise_std' must be positive, got -0.5"),
+    ], ids=["negative-seed", "k-1", "d-0", "m-0", "zero-learning-rate", "negative-noise"])
+    def test_setting_in_a_file_the_reader_rejects_is_named(self, tmp_path, path, value, message):
+        # the ranges CbmapConfig enforces on the settings these fields come from
         doc = json.loads(GOLDEN.read_text())
-        target = doc["config"]
-        for name in section:
-            target = target[name]
-        target[key] = value
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
+        *parents, key = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cbmap.load_model(path)
+            cbmap.load_model(model_path)
 
     def test_integer_float_settings_are_byte_stable(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        cbmap.save_model(_with_config(_golden_model(), learning_rate=1, init_noise_std=2), first)
+        cbmap.save_model(replace(_golden_model(), learning_rate=1, init_noise_std=2), first)
         loaded = cbmap.load_model(first)
-        assert (loaded.config.learning_rate, loaded.config.init_noise_std) == (1.0, 2.0)
+        assert (loaded.learning_rate, loaded.init_noise_std) == (1.0, 2.0)
         cbmap.save_model(loaded, second)
         assert second.read_bytes() == first.read_bytes()
         assert '"learning_rate": 1.0,' in first.read_text()
@@ -636,7 +641,7 @@ class TestModelFileFuzz:
     @example(path=("sigma_high",), action="replace", value=_HUGE)
     @example(path=("centers_low", 0), action="replace", value=_HUGE)
     @example(path=("k",), action="replace", value=5.7)
-    @example(path=("config", "n_clusters"), action="replace", value=2.9)
+    @example(path=("config", "seed"), action="replace", value=2.9)
     @example(path=("centers_high",), action="replace",
              value=np.reshape(_GOLDEN_DOC["centers_high"], (3, 4)).tolist())
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -657,9 +662,10 @@ class TestModelFileFuzz:
             model = cbmap.load_model(model_file)
         except ValueError:
             return
-        k, _ = model.centers_high.shape
+        k, d = model.centers_high.shape
         assert model.centers_low.ndim == 2 and model.centers_low.shape[0] == k
-        assert (model.config.n_clusters, model.config.out_dim) == model.centers_low.shape
+        assert k >= 2 and d >= 1 and model.centers_low.shape[1] >= 1
+        assert model.learning_rate > 0 and model.init_noise_std > 0 and model.seed >= 0
         assert np.all(np.isfinite(model.centers_high)) and np.all(np.isfinite(model.centers_low))
         assert model.sigma_high > 0 and model.sigma_low > 0
         assert np.isfinite(model.sigma_high) and np.isfinite(model.sigma_low)
