@@ -74,9 +74,9 @@ class CbmapConfig:
                 f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.center_init not in _CENTER_INITS:
             raise ValueError(f"center_init must be one of {_CENTER_INITS}, got {self.center_init!r}")
-        if not 0 < self.init_noise_std < math.inf:
-            raise ValueError(
-                f"init_noise_std must be finite and positive, got {self.init_noise_std}")
+        if not 0 < self.init_noise_std <= _MAX_POSITION:
+            raise ValueError(f"init_noise_std must be positive and at most "
+                             f"{_MAX_POSITION:g}, got {self.init_noise_std}")
         check_seed(self.seed)
 
 
@@ -378,6 +378,9 @@ def _model_from_doc(doc) -> CbmapModel:
     for key, value in (("learning_rate", learning_rate), ("init_noise_std", init_noise_std)):
         if value <= 0:
             raise ValueError(f"model field 'config.{key}' must be positive, got {value}")
+    if init_noise_std > _MAX_POSITION:
+        raise ValueError(f"model field 'config.init_noise_std' must be at most "
+                         f"{_MAX_POSITION:g}, got {init_noise_std}")
     scaler = None
     if cfg.get("feature_scaler") is not None:
         sc = _object(cfg["feature_scaler"], "config.feature_scaler")
@@ -391,5 +394,8 @@ def _model_from_doc(doc) -> CbmapModel:
         raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
     centers_high = _reshape(doc["centers_high"], (k, d), "centers_high")
     centers_low = _reshape(doc["centers_low"], (k, m), "centers_low")
+    # positions start at these centers, so the descent's overflow bound holds for them too
+    if np.abs(centers_low).max() > _MAX_POSITION:
+        raise ValueError(f"model field 'centers_low' has entries beyond +-{_MAX_POSITION:g}")
     return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate,
                       init_noise_std, seed, scaler)

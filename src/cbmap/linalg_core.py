@@ -127,8 +127,11 @@ def apply_scaler(m, mean, std) -> np.ndarray:
 
 
 def pca_fit(x, m: int) -> PcaModel:
-    """Fit the top ``m`` principal directions of ``x`` via SVD of the centered matrix.
+    """Fit the top ``m`` principal directions of ``x``.
 
+    They are the top eigenvectors of the smaller Gram matrix of the centered
+    matrix ``xc``: ``xcᵀxc`` for n >= d, else ``xc·xcᵀ``, whose eigenvectors map
+    back through ``xcᵀ`` and are orthonormalized (completing zero-variance ones).
     Component signs are fixed so that each row's largest-magnitude entry is
     positive, which makes results reproducible across equivalent inputs.
     """
@@ -138,13 +141,16 @@ def pca_fit(x, m: int) -> PcaModel:
     if not 1 <= m <= limit:
         raise ValueError(f"m must be in [1, {limit}] for a {n}x{d} matrix, got {m}")
     mean = x.mean(axis=0)
-    _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
-    components = vt[:m].copy()
+    xc = x - mean
+    eigvals, eigvecs = np.linalg.eigh(xc.T @ xc if n >= d else xc @ xc.T)
+    top = eigvecs[:, :-m - 1:-1]
+    components = (top if n >= d else np.linalg.qr(xc.T @ top)[0]).T.copy()
     for row in components:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    explained = (s[:m] ** 2) / max(n - 1, 1)
+    # rounding can leave the eigenvalue of a direction of zero variance negative
+    explained = np.maximum(eigvals[:-m - 1:-1], 0.0) / max(n - 1, 1)
     return PcaModel(mean=mean, components=components, explained_variance=explained)
 
 

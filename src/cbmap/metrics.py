@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import (as_data_matrix, check_seed, euclidean_distance_matrix, pca_fit,
-                          pca_transform)
+from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix, pca_fit
 
 # Test points per kNN block are chosen so that a block's test-by-train
 # distances stay at most this many float64 elements (2 MB).
@@ -40,10 +39,17 @@ class MetricReport:
 
 
 def _min_reconstruction_error(x_centered, y_centered) -> float:
-    """Frobenius norm of the least-squares residual mapping y back onto x."""
-    coeffs, *_ = np.linalg.lstsq(y_centered, x_centered, rcond=None)
-    residual = x_centered - y_centered @ coeffs
-    return float(np.sqrt(np.sum(residual * residual)))
+    """Frobenius norm of the least-squares residual mapping y back onto x.
+
+    ``x_centered`` is projected onto the column space of ``y_centered``, taken
+    from a thin SVD that drops singular values below ``lstsq``'s default cutoff,
+    so a rank-deficient embedding loses its null directions as ``lstsq`` does.
+    """
+    u, s, _ = np.linalg.svd(y_centered, full_matrices=False)
+    u = u[:, s > np.finfo(np.float64).eps * max(y_centered.shape) * s[0]]
+    residual = u @ (u.T @ x_centered)
+    np.subtract(x_centered, residual, out=residual)
+    return float(np.sqrt(np.sum(np.square(residual, out=residual))))
 
 
 def global_score(x, y) -> float:
@@ -63,8 +69,9 @@ def global_score(x, y) -> float:
         raise ValueError(
             f"embedding width {y.shape[1]} must be smaller than the data width {x.shape[1]}"
         )
-    x_centered = x - x.mean(axis=0)
-    pca_embedding = pca_transform(pca_fit(x, y.shape[1]), x)
+    pca = pca_fit(x, y.shape[1])
+    x_centered = x - pca.mean
+    pca_embedding = x_centered @ pca.components.T
     mre_pca = _min_reconstruction_error(x_centered, pca_embedding - pca_embedding.mean(axis=0))
     # rank-deficient data leaves only rounding residue, never an exact zero
     if mre_pca <= 1e-12 * max(np.linalg.norm(x_centered), 1.0):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -403,6 +404,12 @@ class TestTransform:
                      id="sigma_high-400-digits"),
         pytest.param("centers_low.0", "1" + "0" * 400,
                      "model field 'centers_low' must be a list of finite", id="center-400-digits"),
+        # finite, but the descent's squared distances would overflow
+        pytest.param("centers_low.0", "1e200",
+                     "model field 'centers_low' has entries beyond +-1e+150", id="center-1e200"),
+        pytest.param("config.init_noise_std", "1e200",
+                     "model field 'config.init_noise_std' must be at most 1e+150",
+                     id="init-noise-1e200"),
         pytest.param("k", "5.7", "model field 'k' must be int", id="k-fraction"),
         pytest.param("centers_high", "[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]",
                      "model field 'centers_high' must be a flat list", id="nested-centers"),
@@ -750,3 +757,33 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("width", [3, 32], ids=["roll", "32-columns"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, width):
+    # k-means, the center init and the descent use matrix products, which a
+    # BLAS may split across threads; no output may depend on how it splits them
+    roll = cbmap.make_swiss_roll(2000, seed=3)
+    data = roll.data
+    if width > 3:
+        basis, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(width, 3)))
+        data = data @ basis.T + np.random.default_rng(5).normal(0.0, 0.3, (2000, width))
+    table = tmp_path / "roll.csv"
+    write_csv(table, data, roll.labels)
+    outputs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        run.mkdir()
+        for argv in (["fit", table, "--k", "20", "--label-col", "label", "--max-iter", "50",
+                      "-o", run / "emb.csv"],
+                     ["transform", run / "emb.model.json", table, "--label-col", "label",
+                      "--iters", "50", "-o", run / "proj.csv"]):
+            proc = subprocess.run([sys.executable, "-m", "cbmap.cli", *map(str, argv)],
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        # manifests hold wall-clock times
+        outputs[threads] = {path.name: path.read_bytes() for path in run.iterdir()
+                            if not path.name.endswith(".manifest.json")}
+    assert sorted(outputs["1"]) == ["emb.csv", "emb.loss.csv", "emb.model.json", "proj.csv"]
+    assert outputs["1"] == outputs["2"]

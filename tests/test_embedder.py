@@ -255,6 +255,7 @@ class TestCbmapConfig:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("init_noise_std", float("nan")), ("init_noise_std", float("-inf")),
+        ("init_noise_std", 1e200),
         ("seed", -1),
     ])
     def test_non_finite_or_negative_setting_is_named(self, field, value):

@@ -209,6 +209,24 @@ class TestPcaFit:
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0
 
+    @pytest.mark.parametrize("n, d, m", [(200, 6, 3), (8, 30, 3), (5, 12, 5)],
+                             ids=["tall", "wide", "wide-all-components"])
+    @pytest.mark.parametrize("top_scale", [1.0, 1e6])
+    def test_matches_svd_oracle(self, n, d, m, top_scale):
+        # column scales from 1 to top_scale; the Gram matrix squares that spread
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(n, d)) * np.geomspace(1.0, top_scale, d) + 3.0
+        model = lc.pca_fit(x, m)
+        _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        expected_var = s[:m] ** 2 / (n - 1)
+        np.testing.assert_allclose(model.explained_variance, expected_var,
+                                   rtol=1e-9, atol=1e-12 * expected_var[0])
+        np.testing.assert_allclose(model.components @ model.components.T, np.eye(m), atol=1e-10)
+        # the same subspace: equal projectors onto the spans with nonzero variance
+        kept = s[:m] > 1e-12 * s[0]
+        np.testing.assert_allclose(model.components[kept].T @ model.components[kept],
+                                   vt[:m][kept].T @ vt[:m][kept], atol=1e-9)
+
     @pytest.mark.parametrize("m", [0, 5])
     def test_m_out_of_range(self, m):
         with pytest.raises(ValueError, match="m must be in"):

@@ -54,18 +54,36 @@ class TestGlobalScore:
         y = rng.normal(size=(50, 2))
         assert mx.global_score(x, y) == pytest.approx(_gs_oracle(x, y), abs=1e-10)
 
+    @pytest.mark.parametrize("make_y", [
+        lambda t: np.column_stack([t, np.full_like(t, 5.0)]),
+        lambda t: np.full((t.size, 2), 1.5),
+        lambda t: np.column_stack([t, 1.0 - 2.0 * t]),
+    ], ids=["constant-column", "all-rows-equal", "collinear-columns"])
+    def test_rank_deficient_embedding_matches_pseudoinverse_oracle(self, s_curve_data, make_y):
+        # the embedding's null directions must add nothing to the reconstruction
+        y = make_y(s_curve_data[:, 0] + 0.1 * s_curve_data[:, 2])
+        assert mx.global_score(s_curve_data, y) == pytest.approx(_gs_oracle(s_curve_data, y),
+                                                                 abs=1e-10)
+
     def test_never_beats_pca(self, s_curve_data):
         rng = np.random.default_rng(43)
         for _ in range(5):
             y = rng.normal(size=(s_curve_data.shape[0], 2))
             assert mx.global_score(s_curve_data, y) <= 1.0 + 1e-9
 
-    def test_rank_deficient_data_rejected(self):
+    @pytest.mark.parametrize("top_scale", [1.0, 1e3, 1e6])
+    def test_rank_deficient_data_rejected(self, top_scale):
+        # column scales from 1 to top_scale: PCA works from a Gram matrix,
+        # which squares the data's condition number
         rng = np.random.default_rng(44)
         factors = rng.normal(size=(30, 2))
-        x = factors @ rng.normal(size=(2, 3))  # rank 2 in 3 columns
+        scales = np.geomspace(1.0, top_scale, 3)
+        x = factors @ rng.normal(size=(2, 3)) * scales  # rank 2 in 3 columns
         with pytest.raises(ValueError, match="reduce the embedding dimension"):
             mx.global_score(x, factors)
+        # a little noise in every column gives full rank and a score
+        x_full = x + 1e-3 * rng.normal(size=x.shape) * scales
+        assert mx.global_score(x_full, _pca_embedding(x_full)) == pytest.approx(1.0, abs=1e-9)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row mismatch"):
