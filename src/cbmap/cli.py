@@ -212,7 +212,7 @@ def cmd_fit(args):
 def cmd_transform(args):
     model = load_model(args.model)
     ds, source = _read_input(args)
-    y = transform(model, ds.data, iters=args.iters, seed=args.seed)
+    y = transform(model, ds.data, iters=args.iters)
     out = Path(args.out)
     _write_embedding(out, y, ds.labels)
     if args.verbose:
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--seed", type=_seed_arg, default=None, help="defaults to the model's seed")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("benchmark", parents=[output, table, descent],

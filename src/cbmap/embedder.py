@@ -36,8 +36,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _CENTER_INITS = ("pca", "random")
-# the settings transform reads, as stored under a model file's "config"
-_SETTINGS = (("learning_rate", float), ("init_noise_std", float), ("seed", int))
 # positions this far out keep every square below 1e301, so the distances and
 # the centers' variance stay finite for up to 1e7 dimensions or clusters
 _MAX_POSITION = 1e150
@@ -89,8 +87,6 @@ class CbmapModel:
     sigma_high: float
     sigma_low: float
     learning_rate: float
-    init_noise_std: float
-    seed: int
     feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) of the raw input
 
 
@@ -138,15 +134,21 @@ def init_embedding(labels, centers_low, noise_std: float, seed) -> np.ndarray:
     check_seed(seed)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((labels.shape[0], centers_low.shape[1])) * noise_std
-    return centers_low[labels] + noise
+    y = centers_low[labels] + noise
+    if not np.abs(y).max() < _MAX_POSITION:
+        raise ValueError(f"init_noise_std={noise_std} started the positions beyond "
+                         f"+-{_MAX_POSITION:g}; lower it")
+    return y
 
 
-def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_index):
+def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_index,
+                  loss=None):
     """One Adam step of the points toward the high-dimensional memberships.
 
     Shared by the fit and transform loops; returns the new positions, the
-    new Adam state and the loss at the positions before the step. A step
-    that moves a position beyond +-_MAX_POSITION raises ValueError.
+    new Adam state and the loss at the positions before the step. A given
+    ``loss`` scales the gradient in place of the computed one. A step that
+    moves a position beyond +-_MAX_POSITION raises ValueError.
     """
     # the memberships exp(-dist^2 / (2 sigma^2)), formed in place from the
     # squared distances
@@ -155,7 +157,8 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
         raise ValueError("squared point-to-center distances overflow float64; rescale the input")
     u_low *= -0.5 / (sigma * sigma)
     np.exp(u_low, out=u_low)
-    loss = mb.frobenius_loss(u_low, u_high)
+    if loss is None:
+        loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
     # an overflowing step is reported below, by the setting that caused it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,19 +225,18 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
         centers_low = zscore_normalize(update_centers(y, labels, centers_low))
         s_low = mb.sigma_low(centers_low)
 
-    model = CbmapModel(centers_high, centers_low, s_high, s_low,
-                       cfg.learning_rate, cfg.init_noise_std, cfg.seed)
+    model = CbmapModel(centers_high, centers_low, s_high, s_low, cfg.learning_rate)
     return FitResult(embedding=y, loss_history=history, model=model, labels=labels)
 
 
-def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarray:
-    """Embed new points with a frozen model.
+def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
+    """Embed new points with a frozen model, each row on its own.
 
     The rows are first scaled by the model's ``feature_scaler``, if it has
     one. Memberships of the new points use the stored high-dimensional centers
     and bandwidth; each point starts at the low-dimensional center it is most
-    strongly a member of (plus seeded noise) and is refined by Adam while the
-    centers and low bandwidth stay fixed.
+    strongly a member of and is refined by Adam while the centers and low
+    bandwidth stay fixed. A row's result does not depend on the other rows.
     """
     x = as_data_matrix(x_new, "x_new")
     d = model.centers_high.shape[1]
@@ -253,12 +255,13 @@ def transform(model: CbmapModel, x_new, iters: int = 300, seed=None) -> np.ndarr
     # membership in a row underflows to zero
     nearest = np.argmin(dist_high, axis=1)
 
-    y = init_embedding(nearest, model.centers_low, model.init_noise_std,
-                       model.seed if seed is None else seed)
+    y = model.centers_low[nearest]
     state = AdamState.zeros(y.shape)
     for it in range(iters):
+        # loss=1 makes loss_gradient the gradient of 1/2 ||U_low - U_high||^2,
+        # which has no whole-set factor, so each row descends on its own
         y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
-                                    model.learning_rate, it + 1)
+                                    model.learning_rate, it + 1, loss=1.0)
     return y
 
 
@@ -273,8 +276,8 @@ def save_model(model: CbmapModel, path) -> None:
     every value bit-for-bit.
     """
     k, d = model.centers_high.shape
-    config = {key: _typed(vars(model), key, kind, "config.") for key, kind in _SETTINGS}
-    config["feature_scaler"] = None
+    config = {"learning_rate": _typed(vars(model), "learning_rate", float, "config."),
+              "feature_scaler": None}
     if model.feature_scaler is not None:
         mean, std = model.feature_scaler
         config["feature_scaler"] = {"mean": list(map(float, mean)), "std": list(map(float, std))}
@@ -369,18 +372,13 @@ def _model_from_doc(doc) -> CbmapModel:
     shape and range checked; raises ValueError, or KeyError for a missing key."""
     k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
     cfg = _object(doc["config"], "config")
-    learning_rate, init_noise_std, seed = (_typed(cfg, key, kind, "config.")
-                                           for key, kind in _SETTINGS)
+    learning_rate = _typed(cfg, "learning_rate", float, "config.")
     for key, value, least in (("k", k, 2), ("d", d, 1), ("m", m, 1)):
         if value < least:
             raise ValueError(f"model field {key!r} must be at least {least}, got {value}")
-    check_seed(seed)
-    for key, value in (("learning_rate", learning_rate), ("init_noise_std", init_noise_std)):
-        if value <= 0:
-            raise ValueError(f"model field 'config.{key}' must be positive, got {value}")
-    if init_noise_std > _MAX_POSITION:
-        raise ValueError(f"model field 'config.init_noise_std' must be at most "
-                         f"{_MAX_POSITION:g}, got {init_noise_std}")
+    if learning_rate <= 0:
+        raise ValueError(
+            f"model field 'config.learning_rate' must be positive, got {learning_rate}")
     scaler = None
     if cfg.get("feature_scaler") is not None:
         sc = _object(cfg["feature_scaler"], "config.feature_scaler")
@@ -397,5 +395,4 @@ def _model_from_doc(doc) -> CbmapModel:
     # positions start at these centers, so the descent's overflow bound holds for them too
     if np.abs(centers_low).max() > _MAX_POSITION:
         raise ValueError(f"model field 'centers_low' has entries beyond +-{_MAX_POSITION:g}")
-    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate,
-                      init_noise_std, seed, scaler)
+    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate, scaler)

@@ -359,7 +359,7 @@ class TestTransform:
         ("config", []),
         ("k", None),
         ("sigma_high", None),
-        ("config.seed", None),
+        ("config.learning_rate", None),
         ("config.feature_scaler", 3),
     ])
     def test_mistyped_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys,
@@ -380,7 +380,7 @@ class TestTransform:
         assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
 
     @pytest.mark.parametrize("field", [
-        "sigma_high", "sigma_low", "config.learning_rate", "config.init_noise_std",
+        "sigma_high", "sigma_low", "config.learning_rate",
     ])
     def test_non_finite_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys, field):
         table, _, model_path = fitted
@@ -407,9 +407,9 @@ class TestTransform:
         # finite, but the descent's squared distances would overflow
         pytest.param("centers_low.0", "1e200",
                      "model field 'centers_low' has entries beyond +-1e+150", id="center-1e200"),
-        pytest.param("config.init_noise_std", "1e200",
-                     "model field 'config.init_noise_std' must be at most 1e+150",
-                     id="init-noise-1e200"),
+        pytest.param("config.learning_rate", "1e400",
+                     "model field 'config.learning_rate' must be finite",
+                     id="learning-rate-1e400"),
         pytest.param("k", "5.7", "model field 'k' must be int", id="k-fraction"),
         pytest.param("centers_high", "[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]",
                      "model field 'centers_high' must be a flat list", id="nested-centers"),
@@ -453,13 +453,18 @@ class TestTransform:
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
         assert not out.exists()
 
-    def test_same_seed_gives_identical_outputs(self, fitted, tmp_path):
+    def test_reruns_give_identical_outputs_and_take_no_seed(self, fitted, tmp_path, capsys):
         table, _, model_path = fitted
         a, b = tmp_path / "ta.csv", tmp_path / "tb.csv"
         for path in (a, b):
-            assert main(["transform", str(model_path), str(table), "--seed", "5",
-                         "-o", str(path)]) == 0
+            assert main(["transform", str(model_path), str(table), "-o", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        out = tmp_path / "tc.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", str(model_path), str(table), "--seed", "5", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_swiss_roll_split_pipeline_tracks_radius(tmp_path):
@@ -505,8 +510,10 @@ class TestNegativeSeed:
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, "--seed", seed, "-o", str(out)])
         assert exc.value.code == 2
-        assert (f"argument --seed: expected a nonnegative integer, got '{seed}'"
-                in capsys.readouterr().err)
+        # transform takes no seed at all
+        message = (f"unrecognized arguments: --seed {seed}" if command == "transform" else
+                   f"argument --seed: expected a nonnegative integer, got '{seed}'")
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seeds_entry_is_a_data_error(self, tmp_path, capsys):
@@ -519,17 +526,18 @@ class TestNegativeSeed:
         assert err == ["error: --seeds entries must be nonnegative, got '0,-1'"]
         assert not out.exists()
 
-    def test_negative_seed_in_a_model_file_is_a_one_line_error(self, fitted, tmp_path, capsys):
+    def test_seed_and_noise_in_an_older_model_file_are_ignored(self, fitted, tmp_path):
+        # older writers stored transform's seed and start noise; values that
+        # their reader rejected no longer matter
         table, _, model_path = fitted
         doc = json.loads(model_path.read_text())
-        doc["config"]["seed"] = -1
-        bad = tmp_path / "bad.model.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "out.csv"
-        code = main(["transform", str(bad), str(table), "-o", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["error: seed must be nonnegative, got -1"]
-        assert not out.exists()
+        doc["config"].update(seed=-1, init_noise_std=1e200)
+        old = tmp_path / "old.model.json"
+        old.write_text(json.dumps(doc))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["transform", str(model_path), str(table), "-o", str(a)]) == 0
+        assert main(["transform", str(old), str(table), "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestBenchmark:

@@ -9,12 +9,17 @@ from cbmap import linalg_core as lc
 from cbmap import membership as mb
 
 
-def _fd_gradient(y, c, sigma, u_high, h=1e-5):
-    """Central finite differences of the loss as a function of the embedding."""
+def _half_squared_loss(u_low, u_high):
+    """Transform's objective 1/2 ||U_low - U_high||^2."""
+    return 0.5 * mb.frobenius_loss(u_low, u_high) ** 2
+
+
+def _fd_gradient(y, c, sigma, u_high, h=1e-5, objective=mb.frobenius_loss):
+    """Central finite differences of ``objective`` as a function of the embedding."""
 
     def loss_at(points):
         d = lc.euclidean_distance_matrix(points, c)
-        return mb.frobenius_loss(mb.membership_matrix(d, sigma), u_high)
+        return objective(mb.membership_matrix(d, sigma), u_high)
 
     grad = np.zeros_like(y)
     for i in range(y.shape[0]):
@@ -255,6 +260,13 @@ class TestLossGradient:
         assert loss > 0.01
         np.testing.assert_allclose(
             grad, _fd_gradient(y, c, sigma, u_high), rtol=1e-4, atol=1e-8
+        )
+        # loss=1 turns the gradient into that of transform's objective
+        u_low = mb.membership_matrix(lc.euclidean_distance_matrix(y, c), sigma)
+        np.testing.assert_allclose(
+            mb.loss_gradient(y, c, sigma, u_low, u_high, 1.0),
+            _fd_gradient(y, c, sigma, u_high, objective=_half_squared_loss),
+            rtol=1e-4, atol=1e-8,
         )
 
     def test_negative_gradient_is_descent_direction(self):
