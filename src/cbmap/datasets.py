@@ -228,15 +228,16 @@ def write_csv(path, data, labels=None, header=None) -> None:
     """Write a data matrix (and optional labels) as CSV.
 
     Floats are written with Python's shortest round-trip representation, so a
-    load/write cycle preserves every value exactly.
+    load/write cycle preserves every value exactly. Labels must be whole
+    numbers and are written as integers; every check runs before the file is
+    opened.
     """
     data = as_data_matrix(data, "data")
     if labels is not None:
         labels = np.asarray(labels)
-        if labels.shape[0] != data.shape[0]:
-            raise ValueError(
-                f"labels length {labels.shape[0]} does not match {data.shape[0]} rows"
-            )
+        if labels.shape != (data.shape[0],):
+            raise ValueError(f"labels shape {labels.shape} does not match {data.shape[0]} rows")
+        labels = _whole_labels(labels.tolist())
     if header is None:
         header = [f"x{i}" for i in range(data.shape[1])]
         if labels is not None:
@@ -244,11 +245,23 @@ def write_csv(path, data, labels=None, header=None) -> None:
     expected = data.shape[1] + (0 if labels is None else 1)
     if len(header) != expected:
         raise ValueError(f"header has {len(header)} names, expected {expected}")
-    path = Path(path)
+    lines = [",".join(map(repr, row)) for row in data.tolist()]
+    if labels is not None:
+        lines = [f"{line},{label}" for line, label in zip(lines, labels)]
+    text = "\n".join([",".join(header), *lines, ""])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(data):
-            cells = [repr(float(v)) for v in row]
-            if labels is not None:
-                cells.append(str(int(labels[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(text)
+
+
+def _whole_labels(values) -> list[str]:
+    """Each label as integer text; a label that is not a whole number is a
+    ValueError naming its row, where int() would truncate it or fail unnamed."""
+    cells = []
+    for row, value in enumerate(values):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        # bool is an int subclass, written as 0 or 1
+        if not isinstance(value, int):
+            raise ValueError(f"labels must be whole numbers; row {row} holds {value!r}")
+        cells.append(str(int(value)))
+    return cells

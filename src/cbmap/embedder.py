@@ -146,20 +146,22 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     """One Adam step of the points toward the high-dimensional memberships.
 
     Shared by the fit and transform loops; returns the new positions, the
-    new Adam state and the loss at the positions before the step. A given
+    new Adam state and the loss at the positions before the step. ``u_high``
+    is the C-contiguous (k, n) centers-by-points membership matrix, so the
+    step's elementwise passes and reductions run along the points. A given
     ``loss`` scales the gradient in place of the computed one. A step that
     moves a position beyond +-_MAX_POSITION raises ValueError.
     """
-    # the memberships exp(-dist^2 / (2 sigma^2)), formed in place from the
-    # squared distances
-    u_low = euclidean_distance_matrix(y, centers_low, squared=True)
+    # the (k, n) memberships exp(-dist^2 / (2 sigma^2)), formed in place from
+    # the squared center-to-point distances
+    u_low = euclidean_distance_matrix(centers_low, y, squared=True)
     if not np.isfinite(u_low.max()):
         raise ValueError("squared point-to-center distances overflow float64; rescale the input")
     u_low *= -0.5 / (sigma * sigma)
     np.exp(u_low, out=u_low)
     if loss is None:
         loss = mb.frobenius_loss(u_low, u_high)
-    grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
+    grad = mb.loss_gradient(y, centers_low, sigma, u_low.T, u_high.T, loss)
     # an overflowing step is reported below, by the setting that caused it
     with np.errstate(over="ignore", invalid="ignore"):
         y, state = adam_update(y, grad, state, learning_rate, step_index)
@@ -198,7 +200,8 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
 
     dist_high = euclidean_distance_matrix(x, centers_high)
     s_high = mb.sigma_high(dist_high)
-    u_high = mb.membership_matrix(dist_high, s_high)
+    u_high = np.ascontiguousarray(mb.membership_matrix(dist_high, s_high).T)
+    del dist_high
 
     # Independent streams for the center draw and the point-noise draw.
     seed_centers, seed_points = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -250,10 +253,11 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
         x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
 
     dist_high = euclidean_distance_matrix(x, model.centers_high)
-    u_high = mb.membership_matrix(dist_high, model.sigma_high)
+    u_high = np.ascontiguousarray(mb.membership_matrix(dist_high, model.sigma_high).T)
     # argmax membership == argmin distance, and stays well defined when every
     # membership in a row underflows to zero
     nearest = np.argmin(dist_high, axis=1)
+    del dist_high
 
     y = model.centers_low[nearest]
     state = AdamState.zeros(y.shape)

@@ -9,7 +9,8 @@ import numpy as np
 # Rows per block are chosen so that rows * k * d stays at most this many
 # float64 elements (256 KB): a block's difference tensor, or its (rows, k)
 # output when columns are summed one at a time, then stays in cache. The
-# membership loss and gradient take (rows, k) blocks of the same budget.
+# membership loss takes blocks of rows, and the gradient (k, points) blocks of
+# centers-by-points memberships, of the same budget.
 _CHUNK_ELEMS = 32_768
 
 
@@ -80,14 +81,19 @@ def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     n, d = a.shape
     k = b.shape[0]
     out = np.empty((n, k))
+    if d < k:
+        b_cols = b.T.copy()  # each column of b contiguous
     with np.errstate(over="ignore"):
         for block_rows in row_blocks(n, k * d):
             rows = a[block_rows]
             block = out[block_rows]
             if d < k:
-                np.square(rows[:, 0, None] - b[:, 0], out=block)
+                np.subtract(rows[:, 0, None], b_cols[0], out=block)
+                np.square(block, out=block)
                 for col in range(1, d):
-                    block += np.square(rows[:, col, None] - b[:, col])
+                    diff = rows[:, col, None] - b_cols[col]
+                    np.square(diff, out=diff)
+                    block += diff
             else:
                 diff = rows[:, None, :] - b
                 np.einsum("ijl,ijl->ij", diff, diff, out=block)

@@ -59,10 +59,12 @@ def membership_matrix(distances, sigma: float) -> np.ndarray:
 
 
 def frobenius_loss(u_low, u_high) -> float:
-    """Frobenius norm of the difference between two (n, k) membership matrices.
+    """Frobenius norm of the difference between two membership matrices of equal shape.
 
-    Squared differences are summed over cache-sized blocks of rows, so no
-    full-size difference matrix is formed.
+    The norm ignores orientation, so the pair may be points x centers or
+    centers x points. Squared differences are summed over cache-sized blocks
+    of rows (at least one row each), so no full-size difference matrix is
+    formed.
     """
     a = np.asarray(u_low, dtype=np.float64)
     b = np.asarray(u_high, dtype=np.float64)
@@ -89,7 +91,10 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     sit exactly on a center are well defined. At (numerically) zero loss the
     gradient is the zero matrix.
 
-    Rows are taken in cache-sized blocks: each block forms its weights
+    The memberships are (n, k) in either memory order. Points are taken in
+    cache-sized blocks of the centers-by-points view ``u.T``, which runs along
+    the points when the caller holds C-contiguous (k, n) memberships and
+    passes their transposes: each block forms its (k, B) weights
     ``(uL - uH) * uL`` once, and the common factor ``-1 / (loss * sigma**2)``
     is applied to the whole gradient at the end.
     """
@@ -108,11 +113,13 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
         return np.zeros_like(y)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    ul_t, uh_t = ul.T, uh.T
     grad = np.empty_like(y)
-    for rows in row_blocks(*ul.shape):
-        w = ul[rows] - uh[rows]
-        w *= ul[rows]
-        np.multiply(y[rows], w.sum(axis=1, keepdims=True), out=grad[rows])
-        grad[rows] -= w @ c
+    for pts in row_blocks(*ul.shape):
+        # C order whatever the input's, so either order gives the same bits
+        w = np.subtract(ul_t[:, pts], uh_t[:, pts], order="C")
+        w *= ul_t[:, pts]
+        np.multiply(y[pts], w.sum(axis=0)[:, None], out=grad[pts])
+        grad[pts] -= (c.T @ w).T
     grad *= -1.0 / (loss * sigma * sigma)
     return grad

@@ -323,6 +323,21 @@ class TestWriteCsv:
         ds.write_csv(f, [[1.0, 2.0]], [7])
         assert f.read_text().splitlines()[0] == "x0,x1,label"
 
+    def test_writes_shortest_round_trip_floats_and_integer_labels(self, tmp_path):
+        f = tmp_path / "t.csv"
+        ds.write_csv(f, [[-0.0, 1e-320], [0.1, 2.0]], [3.0, -2])
+        assert f.read_bytes() == b"x0,x1,label\n-0.0,1e-320,3\n0.1,2.0,-2\n"
+
+    @pytest.mark.parametrize("labels, row", [
+        ([1.5, 2.7], 0), ([1.0, float("nan")], 1), (["a", "b"], 0), ([1, float("inf")], 1)])
+    def test_labels_that_are_not_whole_numbers_are_rejected_before_writing(
+            self, tmp_path, labels, row):
+        f = tmp_path / "t.csv"
+        f.write_text("kept\n")
+        with pytest.raises(ValueError, match=f"^labels must be whole numbers; row {row} "):
+            ds.write_csv(f, np.ones((2, 2)), labels)
+        assert f.read_text() == "kept\n"
+
     def test_labels_length_checked(self, tmp_path):
         with pytest.raises(ValueError, match="does not match"):
             ds.write_csv(tmp_path / "t.csv", [[1.0], [2.0]], [0])

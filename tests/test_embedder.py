@@ -79,11 +79,13 @@ class TestDescentStep:
         # enough rows for several distance and membership row blocks
         target = rng.normal(size=(3000, 2))
         u_high = mb.membership_matrix(euclidean_distance_matrix(target, centers), sigma)
+        # the step takes its memberships centers x points
+        u_high_cm = np.ascontiguousarray(u_high.T)
         y = ref = target + rng.normal(scale=0.5, size=target.shape)
         state = ref_state = em.AdamState.zeros(y.shape)
         losses = []
         for it in range(1, 51):
-            y, state, loss = em._descent_step(y, centers, sigma, u_high, state, 0.1, it)
+            y, state, loss = em._descent_step(y, centers, sigma, u_high_cm, state, 0.1, it)
             ref, ref_state, ref_loss = _reference_step(ref, centers, sigma, u_high, ref_state,
                                                        0.1, it)
             assert abs(loss - ref_loss) <= 1e-12
@@ -98,7 +100,7 @@ class TestDescentStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
-                em._descent_step(y, centers, 1.0, np.zeros((10, 4)),
+                em._descent_step(y, centers, 1.0, np.zeros((4, 10)),
                                  em.AdamState.zeros(y.shape), 0.1, 1)
 
 

@@ -110,6 +110,20 @@ class TestEuclideanDistanceMatrix:
             out = lc.euclidean_distance_matrix(a, b, squared=True)
         assert np.all(np.isposinf(out))
 
+    # (n, k, d): d below both row counts takes the column-by-column path both
+    # ways, d at or above both the difference-block path
+    @pytest.mark.parametrize("n, k, d", [(3000, 40, 2), (500, 300, 3), (200, 100, 256),
+                                         (70, 256, 300)])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_swapping_the_arguments_transposes_the_result_exactly(self, n, k, d, squared):
+        rng = np.random.default_rng(n + k + d)
+        a = rng.normal(size=(n, d))
+        b = rng.normal(size=(k, d))
+        for rows, cols in ((n, k), (k, n)):  # several row blocks in both calls
+            assert rows > 2 * max(1, lc._CHUNK_ELEMS // (cols * d))
+        ab = lc.euclidean_distance_matrix(a, b, squared=squared)
+        np.testing.assert_array_equal(lc.euclidean_distance_matrix(b, a, squared=squared), ab.T)
+
     @given(m=_matrices)
     @settings(max_examples=40, deadline=None)
     def test_self_distance_symmetric_with_zero_diagonal(self, m):

@@ -211,6 +211,16 @@ class TestFrobeniusLoss:
         expected = np.sqrt(np.sum((u_low - u_high) ** 2))
         assert mb.frobenius_loss(u_low, u_high) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("k", [1, 5, 40, 300])
+    def test_either_orientation_gives_the_same_norm(self, k):
+        # the descent step passes its memberships centers x points
+        rng = np.random.default_rng(35 + k)
+        n = _rows_over_blocks(k)
+        u_low = rng.uniform(size=(n, k))
+        u_high = rng.uniform(size=(n, k))
+        assert mb.frobenius_loss(u_low.T, u_high.T) == pytest.approx(
+            mb.frobenius_loss(u_low, u_high), rel=1e-15, abs=0.0)
+
     def test_rejects_non_matrix_memberships(self):
         with pytest.raises(ValueError, match="2-D"):
             mb.frobenius_loss(np.zeros(3), np.zeros(3))
@@ -318,6 +328,23 @@ class TestLossGradient:
         # nearly equal terms, so its own relative error is unbounded
         np.testing.assert_allclose(grad, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("k", [1, 5, 40, 300])
+    def test_center_major_memberships_give_the_same_gradient(self, k):
+        # the descent step holds (k, n) C-contiguous memberships and passes
+        # their (n, k) transposes
+        rng = np.random.default_rng(45 + k)
+        n = _rows_over_blocks(k)
+        y = rng.normal(size=(n, 2))
+        c = rng.normal(size=(k, 2))
+        u_low = mb.membership_matrix(lc.euclidean_distance_matrix(y, c), 0.8)
+        u_high = rng.uniform(size=(n, k))
+        loss = mb.frobenius_loss(u_low, u_high)
+        expected = mb.loss_gradient(y, c, 0.8, u_low, u_high, loss)
+        low_cm, high_cm = np.ascontiguousarray(u_low.T), np.ascontiguousarray(u_high.T)
+        grad = mb.loss_gradient(y, c, 0.8, low_cm.T, high_cm.T, loss)
+        np.testing.assert_allclose(grad, expected, rtol=1e-15,
+                                   atol=1e-15 * np.abs(expected).max())
 
     def test_equal_memberships_give_exact_zeros_across_blocks(self):
         rng = np.random.default_rng(51)
