@@ -39,6 +39,10 @@ _CENTER_INITS = ("pca", "random")
 # positions this far out keep every square below 1e301, so the distances and
 # the centers' variance stay finite for up to 1e7 dimensions or clusters
 _MAX_POSITION = 1e150
+# the smallest bandwidth whose square is a normal float64, so that the
+# descent's 1 / (2 sigma^2) and 1 / sigma^2 stay finite
+_MIN_BANDWIDTH = 2.0**-511
+INIT_NOISE_STD = 0.1  # of the Gaussian noise fit adds to each point's start
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class CbmapConfig:
     learning_rate: float = 0.1
     center_init: str = "pca"
     clustering: KmeansConfig | None = None
-    init_noise_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -72,9 +75,6 @@ class CbmapConfig:
                 f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.center_init not in _CENTER_INITS:
             raise ValueError(f"center_init must be one of {_CENTER_INITS}, got {self.center_init!r}")
-        if not 0 < self.init_noise_std <= _MAX_POSITION:
-            raise ValueError(f"init_noise_std must be positive and at most "
-                             f"{_MAX_POSITION:g}, got {self.init_noise_std}")
         check_seed(self.seed)
 
 
@@ -122,23 +122,12 @@ def adam_update(y, grad, state: AdamState, learning_rate: float, step_index: int
     return y_new, AdamState(mean=mean, variance=variance)
 
 
-def init_embedding(labels, centers_low, noise_std: float, seed) -> np.ndarray:
-    """Start every point at its cluster's low-dimensional center plus Gaussian noise."""
-    centers_low = as_data_matrix(centers_low, "centers_low")
-    labels = np.asarray(labels)
-    if noise_std <= 0:
-        raise ValueError(f"noise_std must be positive, got {noise_std}")
-    if labels.min() < 0 or labels.max() >= centers_low.shape[0]:
-        raise ValueError(f"labels must lie in [0, {centers_low.shape[0]}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    check_seed(seed)
+def init_embedding(labels, centers_low, seed) -> np.ndarray:
+    """Start every point at its cluster's low-dimensional center plus Gaussian
+    noise of std ``INIT_NOISE_STD``; :func:`fit` makes both inputs, unchecked."""
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((labels.shape[0], centers_low.shape[1])) * noise_std
-    y = centers_low[labels] + noise
-    if not np.abs(y).max() < _MAX_POSITION:
-        raise ValueError(f"init_noise_std={noise_std} started the positions beyond "
-                         f"+-{_MAX_POSITION:g}; lower it")
-    return y
+    noise = rng.standard_normal((labels.shape[0], centers_low.shape[1])) * INIT_NOISE_STD
+    return centers_low[labels] + noise
 
 
 def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_index,
@@ -149,19 +138,18 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     new Adam state and the loss at the positions before the step. ``u_high``
     is the C-contiguous (k, n) centers-by-points membership matrix, so the
     step's elementwise passes and reductions run along the points. A given
-    ``loss`` scales the gradient in place of the computed one. A step that
-    moves a position beyond +-_MAX_POSITION raises ValueError.
+    ``loss`` scales the gradient in place of the computed one. The entry
+    points start positions and centers within +-_MAX_POSITION, so every squared
+    distance is finite, and a step that moves a position beyond it raises ValueError.
     """
     # the (k, n) memberships exp(-dist^2 / (2 sigma^2)), formed in place from
     # the squared center-to-point distances
     u_low = euclidean_distance_matrix(centers_low, y, squared=True)
-    if not np.isfinite(u_low.max()):
-        raise ValueError("squared point-to-center distances overflow float64; rescale the input")
     u_low *= -0.5 / (sigma * sigma)
     np.exp(u_low, out=u_low)
     if loss is None:
         loss = mb.frobenius_loss(u_low, u_high)
-    grad = mb.loss_gradient(y, centers_low, sigma, u_low.T, u_high.T, loss)
+    grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
     # an overflowing step is reported below, by the setting that caused it
     with np.errstate(over="ignore", invalid="ignore"):
         y, state = adam_update(y, grad, state, learning_rate, step_index)
@@ -219,7 +207,7 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     centers_low = zscore_normalize(centers_low)
     s_low = mb.sigma_low(centers_low)
 
-    y = init_embedding(labels, centers_low, cfg.init_noise_std, seed_points)
+    y = init_embedding(labels, centers_low, seed_points)
     state = AdamState.zeros(y.shape)
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
@@ -240,6 +228,7 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     and bandwidth; each point starts at the low-dimensional center it is most
     strongly a member of and is refined by Adam while the centers and low
     bandwidth stay fixed. A row's result does not depend on the other rows.
+    The model must pass the range checks :func:`load_model` applies.
     """
     x = as_data_matrix(x_new, "x_new")
     d = model.centers_high.shape[1]
@@ -247,8 +236,7 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
         raise ValueError(f"x_new has {x.shape[1]} columns, model expects {d}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    if model.sigma_low <= 0:
-        raise ValueError(f"sigma_low must be positive, got {model.sigma_low}")
+    _check_ranges(model)
     if model.feature_scaler is not None:
         x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
 
@@ -380,9 +368,6 @@ def _model_from_doc(doc) -> CbmapModel:
     for key, value, least in (("k", k, 2), ("d", d, 1), ("m", m, 1)):
         if value < least:
             raise ValueError(f"model field {key!r} must be at least {least}, got {value}")
-    if learning_rate <= 0:
-        raise ValueError(
-            f"model field 'config.learning_rate' must be positive, got {learning_rate}")
     scaler = None
     if cfg.get("feature_scaler") is not None:
         sc = _object(cfg["feature_scaler"], "config.feature_scaler")
@@ -392,11 +377,25 @@ def _model_from_doc(doc) -> CbmapModel:
         )
     sigma_high = _typed(doc, "sigma_high", float)
     sigma_low = _typed(doc, "sigma_low", float)
-    if sigma_high <= 0 or sigma_low <= 0:
-        raise ValueError(f"bandwidths must be positive, got {sigma_high} and {sigma_low}")
     centers_high = _reshape(doc["centers_high"], (k, d), "centers_high")
     centers_low = _reshape(doc["centers_low"], (k, m), "centers_low")
-    # positions start at these centers, so the descent's overflow bound holds for them too
-    if np.abs(centers_low).max() > _MAX_POSITION:
+    return _check_ranges(
+        CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate, scaler))
+
+
+def _check_ranges(model: CbmapModel) -> CbmapModel:
+    """``model``, if its learning rate, bandwidths and ``centers_low`` (where
+    transform starts its points) lie in the ranges the descent relies on."""
+    if model.learning_rate <= 0:
+        raise ValueError(
+            f"model field 'config.learning_rate' must be positive, got {model.learning_rate}")
+    if model.sigma_high <= 0 or model.sigma_low <= 0:
+        raise ValueError(
+            f"bandwidths must be positive, got {model.sigma_high} and {model.sigma_low}")
+    for name, sigma in (("sigma_high", model.sigma_high), ("sigma_low", model.sigma_low)):
+        if sigma < _MIN_BANDWIDTH:
+            raise ValueError(f"model field {name!r} must be at least {_MIN_BANDWIDTH:.4g}, "
+                             f"got {sigma}")
+    if np.abs(model.centers_low).max() > _MAX_POSITION:
         raise ValueError(f"model field 'centers_low' has entries beyond +-{_MAX_POSITION:g}")
-    return CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate, scaler)
+    return model

@@ -40,12 +40,10 @@ class PcaModel:
     ----------
     mean : (d,) column means of the training data.
     components : (m, d) orthonormal rows sorted by explained variance.
-    explained_variance : (m,) non-increasing variances.
     """
 
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
 
 
 def row_blocks(n: int, row_elems: int):
@@ -148,16 +146,14 @@ def pca_fit(x, m: int) -> PcaModel:
         raise ValueError(f"m must be in [1, {limit}] for a {n}x{d} matrix, got {m}")
     mean = x.mean(axis=0)
     xc = x - mean
-    eigvals, eigvecs = np.linalg.eigh(xc.T @ xc if n >= d else xc @ xc.T)
+    _, eigvecs = np.linalg.eigh(xc.T @ xc if n >= d else xc @ xc.T)
     top = eigvecs[:, :-m - 1:-1]
     components = (top if n >= d else np.linalg.qr(xc.T @ top)[0]).T.copy()
     for row in components:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    # rounding can leave the eigenvalue of a direction of zero variance negative
-    explained = np.maximum(eigvals[:-m - 1:-1], 0.0) / max(n - 1, 1)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components)
 
 
 def pca_transform(model: PcaModel, x) -> np.ndarray:

@@ -84,19 +84,18 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
 
     Each center j contributes, to point i and coordinate l,
 
-        -((uL[i,j] - uH[i,j]) / loss) * uL[i,j] * (y[i,l] - c_low[j,l]) / sigma**2
+        -((uL[j,i] - uH[j,i]) / loss) * uL[j,i] * (y[i,l] - c_low[j,l]) / sigma**2
 
     and contributions are summed over j. The point-to-center distance cancels
     between the kernel derivative and the distance derivative, so points that
     sit exactly on a center are well defined. At (numerically) zero loss the
     gradient is the zero matrix.
 
-    The memberships are (n, k) in either memory order. Points are taken in
-    cache-sized blocks of the centers-by-points view ``u.T``, which runs along
-    the points when the caller holds C-contiguous (k, n) memberships and
-    passes their transposes: each block forms its (k, B) weights
-    ``(uL - uH) * uL`` once, and the common factor ``-1 / (loss * sigma**2)``
-    is applied to the whole gradient at the end.
+    The memberships are centers x points, (k, n), as the descent step holds
+    them. Points are taken in cache-sized blocks of columns, which run along
+    the points when the memberships are C-contiguous: each block forms its
+    (k, B) weights ``(uL - uH) * uL`` once, and the common factor
+    ``-1 / (loss * sigma**2)`` is applied to the whole gradient at the end.
     """
     y = as_data_matrix(y, "y")
     c = as_data_matrix(c_low, "c_low")
@@ -104,21 +103,19 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
         raise ValueError(f"column mismatch: y has shape {y.shape}, c_low has shape {c.shape}")
     ul = np.asarray(u_low, dtype=np.float64)
     uh = np.asarray(u_high, dtype=np.float64)
-    if ul.shape != uh.shape or ul.shape != (y.shape[0], c.shape[0]):
+    if ul.shape != uh.shape or ul.shape != (c.shape[0], y.shape[0]):
         raise ValueError(
             f"membership shapes {ul.shape} and {uh.shape} do not match "
-            f"{(y.shape[0], c.shape[0])} points x centers"
+            f"{(c.shape[0], y.shape[0])} centers x points"
         )
     if loss <= GRADIENT_LOSS_FLOOR:
         return np.zeros_like(y)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    ul_t, uh_t = ul.T, uh.T
     grad = np.empty_like(y)
-    for pts in row_blocks(*ul.shape):
-        # C order whatever the input's, so either order gives the same bits
-        w = np.subtract(ul_t[:, pts], uh_t[:, pts], order="C")
-        w *= ul_t[:, pts]
+    for pts in row_blocks(y.shape[0], c.shape[0]):
+        w = ul[:, pts] - uh[:, pts]
+        w *= ul[:, pts]
         np.multiply(y[pts], w.sum(axis=0)[:, None], out=grad[pts])
         grad[pts] -= (c.T @ w).T
     grad *= -1.0 / (loss * sigma * sigma)

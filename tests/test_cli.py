@@ -407,6 +407,11 @@ class TestTransform:
         # finite, but the descent's squared distances would overflow
         pytest.param("centers_low.0", "1e200",
                      "model field 'centers_low' has entries beyond +-1e+150", id="center-1e200"),
+        # finite, but the descent's 1 / (2 sigma^2) would overflow or divide by zero
+        *(pytest.param(field, raw, f"model field '{field}' must be at least 1.492e-154",
+                       id=f"{field}-{raw}")
+          for field, raw in (("sigma_low", "1e-200"), ("sigma_low", "1e-160"),
+                             ("sigma_low", "1e-155"), ("sigma_high", "1e-200"))),
         pytest.param("config.learning_rate", "1e400",
                      "model field 'config.learning_rate' must be finite",
                      id="learning-rate-1e400"),
