@@ -329,6 +329,23 @@ class TestLossGradient:
         np.testing.assert_allclose(grad, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("k", [1, 5, 40, 300])
+    def test_memory_order_of_the_memberships_keeps_the_gradient(self, k):
+        # the descent step passes C-contiguous (k, n) memberships; the tests
+        # above pass transposes of (n, k) arrays, which are Fortran-ordered
+        rng = np.random.default_rng(45 + k)
+        n = _rows_over_blocks(k)
+        y = rng.normal(size=(n, 2))
+        c = rng.normal(size=(k, 2))
+        u_low = mb.membership_matrix(lc.euclidean_distance_matrix(y, c), 0.8)
+        u_high = rng.uniform(size=(n, k))
+        loss = mb.frobenius_loss(u_low, u_high)
+        expected = mb.loss_gradient(y, c, 0.8, np.ascontiguousarray(u_low.T),
+                                    np.ascontiguousarray(u_high.T), loss)
+        grad = mb.loss_gradient(y, c, 0.8, u_low.T, u_high.T, loss)
+        np.testing.assert_allclose(grad, expected, rtol=1e-15,
+                                   atol=1e-15 * np.abs(expected).max())
+
     def test_equal_memberships_give_exact_zeros_across_blocks(self):
         rng = np.random.default_rng(51)
         n = _rows_over_blocks(5)
