@@ -193,9 +193,10 @@ def cmd_fit(args):
     result = fit(x, _config(args, k, args.seed))
 
     out = Path(args.out)
-    _write_embedding(out, result.embedding, ds.labels)
     model_path = out.with_suffix(".model.json")
+    # save_model checks the model before it writes, so a model it rejects leaves no output
     save_model(replace(result.model, feature_scaler=scaler), model_path)
+    _write_embedding(out, result.embedding, ds.labels)
     loss_path = out.with_suffix(".loss.csv")
     with open(loss_path, "w", encoding="utf-8") as fh:
         fh.write("iteration,loss\n")

@@ -8,6 +8,7 @@ inter-cluster gap can be swept.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ SPHERE_CAP_COLATITUDE = np.pi / 8.0
 SPHERE_WEDGE_FRACTION = 0.94
 
 _CUBOID_EDGES = np.array([2.0, 1.0, 1.0])
+# write_csv formats and writes this many rows at a time
+_WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -143,29 +146,55 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
     ``label_column`` may be a column name (requires a header) or a 0-based
     index. Label values are treated as categorical strings and encoded as
     integers in first-seen order. Malformed input raises ValueError with the
-    offending line and column (both 1-based).
+    offending line and column (both 1-based); rows are parsed as they are
+    read, so a file with several faults is reported by the first one met
+    reading from the top.
     """
     path = Path(path)
+    header = None
+    width = label_idx = None
+    values = array("d")  # the features, row after row
+    codes = array("q")
+    seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            # a quoted field may span lines, so number each row by where it ends
-            rows = [(reader.line_num, row) for row in reader if row]
+            for row in reader:
+                if not row:
+                    continue
+                if has_header and header is None:
+                    header = [cell.strip() for cell in row]
+                    continue
+                # a quoted field may span lines, so a row is numbered by where it ends
+                lineno = reader.line_num
+                if width is None:
+                    width = len(row)
+                    label_idx = _label_index(path, label_column, header, width)
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+                if label_idx is not None:
+                    codes.append(seen.setdefault(row.pop(label_idx).strip(), len(seen)))
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    raise _not_numeric(path, lineno, row, label_idx) from None
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}: {_utf8_error(path)}") from None
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
+    if width is None:
+        raise ValueError(f"{path}: file has a header but no data rows" if header is not None
+                         else f"{path}: file is empty")
+    # the arrays share the buffers they were read into
+    n_features = width if label_idx is None else width - 1
+    data = np.frombuffer(values, dtype=np.float64).reshape(-1, n_features)
+    labels = None if label_idx is None else np.frombuffer(codes, dtype=np.int64)
+    return LabeledDataset(data=data, labels=labels, name=path.stem)
 
-    header = None
-    if has_header:
-        header = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: file has a header but no data rows")
 
-    width = len(rows[0][1])
+def _label_index(path, label_column, header, width):
+    """The 0-based index of ``label_column`` among ``width`` columns, or None."""
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -176,35 +205,25 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
             label_idx = header.index(label_column)
         else:
             label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise ValueError(f"label column index {label_idx} out of range for {width} columns")
-
-    data_rows = []
-    raw_labels = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-        values = []
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}, column {col + 1}: not numeric: {cell.strip()!r}"
-                ) from None
-        data_rows.append(values)
-
-    if width - (0 if label_idx is None else 1) < 1:
+        # a header may be wider than the rows
+        if not 0 <= label_idx < width:
+            raise ValueError(f"label column index {label_idx} out of range for {width} columns")
+    if label_idx is not None and width < 2:
         raise ValueError(f"{path}: no feature columns left after removing the label column")
+    return label_idx
 
-    labels = None
-    if label_idx is not None:
-        seen: dict[str, int] = {}
-        labels = np.array([seen.setdefault(v, len(seen)) for v in raw_labels], dtype=np.int64)
-    return LabeledDataset(data=np.asarray(data_rows, dtype=np.float64), labels=labels, name=path.stem)
+
+def _not_numeric(path, lineno, features, label_idx) -> ValueError:
+    """The error naming the first of a row's ``features`` (its cells without
+    the label at ``label_idx``) that float() rejects."""
+    for col, cell in enumerate(features):
+        try:
+            float(cell)
+        except ValueError:
+            if label_idx is not None and col >= label_idx:
+                col += 1
+            return ValueError(f"{path}: line {lineno}, column {col + 1}: "
+                              f"not numeric: {cell.strip()!r}")
 
 
 def _utf8_error(path) -> str:
@@ -245,16 +264,18 @@ def write_csv(path, data, labels=None, header=None) -> None:
     expected = data.shape[1] + (0 if labels is None else 1)
     if len(header) != expected:
         raise ValueError(f"header has {len(header)} names, expected {expected}")
-    lines = [",".join(map(repr, row)) for row in data.tolist()]
-    if labels is not None:
-        lines = [f"{line},{label}" for line, label in zip(lines, labels)]
-    text = "\n".join([",".join(header), *lines, ""])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, data.shape[0], _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            lines = [",".join(map(repr, row)) for row in data[rows].tolist()]
+            if labels is not None:
+                lines = [f"{line},{label}" for line, label in zip(lines, labels[rows])]
+            fh.write("\n".join(lines) + "\n")
 
 
-def _whole_labels(values) -> list[str]:
-    """Each label as integer text; a label that is not a whole number is a
+def _whole_labels(values) -> list[int]:
+    """Each label as an int; a label that is not a whole number is a
     ValueError naming its row, where int() would truncate it or fail unnamed."""
     cells = []
     for row, value in enumerate(values):
@@ -263,5 +284,5 @@ def _whole_labels(values) -> list[str]:
         # bool is an int subclass, written as 0 or 1
         if not isinstance(value, int):
             raise ValueError(f"labels must be whole numbers; row {row} holds {value!r}")
-        cells.append(str(int(value)))
+        cells.append(int(value))
     return cells

@@ -26,6 +26,7 @@ from .linalg_core import (
     euclidean_distance_matrix,
     pca_fit,
     pca_transform,
+    row_blocks,
     zscore_normalize,
 )
 
@@ -43,6 +44,13 @@ _MAX_POSITION = 1e150
 # descent's 1 / (2 sigma^2) and 1 / sigma^2 stay finite
 _MIN_BANDWIDTH = 2.0**-511
 INIT_NOISE_STD = 0.1  # of the Gaussian noise fit adds to each point's start
+# transform descends blocks of rows that each hold this many of the
+# gradient's cache-sized blocks (up to 98,304 elements of each (k, rows)
+# membership array), so its memory does not grow with the row count, and a
+# row meets the same gradient blocks, and so the same rounding, as in one
+# whole-set descent. Fewer, larger blocks cost memory; more, smaller ones
+# cost each step's fixed overhead once more per block.
+_TRANSFORM_CHUNKS = 3
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,9 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     one. Memberships of the new points use the stored high-dimensional centers
     and bandwidth; each point starts at the low-dimensional center it is most
     strongly a member of and is refined by Adam while the centers and low
-    bandwidth stay fixed. A row's result does not depend on the other rows.
+    bandwidth stay fixed. A row's result does not depend on the other rows,
+    so the rows are descended in blocks of a bounded size, and the memory
+    used beyond the input and the output does not grow with their number.
     The model must pass the range checks :func:`load_model` applies.
     """
     x = as_data_matrix(x_new, "x_new")
@@ -237,9 +247,16 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     _check_ranges(model)
+    y = np.empty((x.shape[0], model.centers_low.shape[1]))
+    for rows in row_blocks(x.shape[0], model.centers_high.shape[0], _TRANSFORM_CHUNKS):
+        y[rows] = _transform_block(model, x[rows], iters)
+    return y
+
+
+def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:
+    """:func:`transform` of one block of checked rows."""
     if model.feature_scaler is not None:
         x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
-
     dist_high = euclidean_distance_matrix(x, model.centers_high)
     u_high = np.ascontiguousarray(mb.membership_matrix(dist_high, model.sigma_high).T)
     # argmax membership == argmin distance, and stays well defined when every

@@ -46,10 +46,14 @@ class PcaModel:
     components: np.ndarray
 
 
-def row_blocks(n: int, row_elems: int):
+def row_blocks(n: int, row_elems: int, chunks: int = 1):
     """Slices that cover ``range(n)`` in blocks of rows holding at most
-    ``_CHUNK_ELEMS`` elements in all, for rows of ``row_elems`` elements."""
-    step = max(1, _CHUNK_ELEMS // max(1, row_elems))
+    ``chunks * _CHUNK_ELEMS`` elements in all, for rows of ``row_elems`` elements.
+
+    Each block is ``chunks`` whole blocks of ``chunks=1``, so a loop over a
+    block's own ``chunks=1`` blocks meets the same row boundaries as a loop
+    over the whole range."""
+    step = chunks * max(1, _CHUNK_ELEMS // max(1, row_elems))
     for start in range(0, n, step):
         yield slice(start, start + step)
 

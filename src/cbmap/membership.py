@@ -55,7 +55,9 @@ def membership_matrix(distances, sigma: float) -> np.ndarray:
     d = as_data_matrix(distances, "distances")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return np.exp(-(d * d) / (2.0 * sigma * sigma))
+    # a distance far beyond a tiny sigma overflows to -inf, whose membership is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
 def frobenius_loss(u_low, u_high) -> float:

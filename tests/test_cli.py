@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,20 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: squared distances overflow float64; rescale the input"]
 
+    def test_fit_whose_model_fails_to_save_leaves_no_output(self, tmp_path, capsys):
+        # input scaled below 1e-154 fits, but to a sigma_high the model reader rejects
+        curve = cbmap.make_s_curve(200, seed=0)
+        table = tmp_path / "tiny.csv"
+        write_csv(table, curve.data * 1e-160, curve.labels)
+        code = main(["fit", str(table), "--k", "5", "--label-col", "label",
+                     "-o", str(tmp_path / "te.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: model field 'sigma_high' must be at least 1.492e-154")
+        # no embedding, model, loss or manifest file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
+
     def test_standardize_is_recorded_and_applied(self, tmp_path):
         data, _ = two_blobs(50, seed=20)
         table = tmp_path / "blobs.csv"
@@ -316,6 +331,19 @@ def fitted(tmp_path_factory):
     out = work / "emb.csv"
     assert main(["fit", str(table), "--k", "4", "--seed", "0", "-o", str(out)]) == 0
     return table, out, work / "emb.model.json"
+
+
+@pytest.fixture(scope="module")
+def roll_k40(tmp_path_factory):
+    """A k=40 model file and a 20,000-row swiss-roll CSV, which transform takes
+    in several blocks of rows."""
+    work = tmp_path_factory.mktemp("roll_k40")
+    train = cbmap.make_swiss_roll(2000, seed=1)
+    model = cbmap.fit(train.data, cbmap.CbmapConfig(n_clusters=40, max_iter=20, seed=0)).model
+    cbmap.save_model(model, work / "roll.model.json")
+    new = cbmap.make_swiss_roll(20_000, seed=2)
+    write_csv(work / "new.csv", new.data, new.labels)
+    return work / "roll.model.json", work / "new.csv"
 
 
 class TestTransform:
@@ -457,6 +485,44 @@ class TestTransform:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
         assert not out.exists()
+
+    def test_output_is_the_library_result_as_write_csv_writes_it(self, roll_k40, tmp_path):
+        model_path, table = roll_k40
+        out = tmp_path / "proj.csv"
+        assert main(["transform", str(model_path), str(table), "--label-col", "label",
+                     "--iters", "5", "-o", str(out)]) == 0
+        ds = load_csv(table, label_column="label")
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, cbmap.transform(cbmap.load_model(model_path), ds.data, iters=5),
+                  ds.labels, header=["e0", "e1", "label"])
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_memory_is_bounded_by_a_block_of_rows(self, roll_k40, tmp_path):
+        model_path, table = roll_k40
+        tracemalloc.start()
+        try:
+            code = main(["transform", str(model_path), str(table), "--label-col", "label",
+                         "--iters", "2", "-o", str(tmp_path / "proj.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # descending all 20,000 rows at once, after reading every row's cells
+        # into lists and before writing the output as one string, took 20 MB
+        assert peak < 6e6
+
+    def test_bandwidth_near_the_floor_embeds_without_a_warning(self, fitted, tmp_path, capsys):
+        # every membership of a far point underflows to zero; the overflow on
+        # the way there is expected
+        table, _, model_path = fitted
+        doc = json.loads(model_path.read_text())
+        doc["sigma_high"] = 2e-154
+        tiny = tmp_path / "tiny.model.json"
+        tiny.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["transform", str(tiny), str(table), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(load_csv(out).data))
 
     def test_reruns_give_identical_outputs_and_take_no_seed(self, fitted, tmp_path, capsys):
         table, _, model_path = fitted

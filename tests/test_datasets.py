@@ -1,6 +1,7 @@
 """Tests for the toy-data generators and CSV round trips."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="out of range"):
             ds.load_csv(f, label_column=5)
 
+    def test_label_name_beyond_the_rows_is_out_of_range(self, tmp_path):
+        # the header is wider than the rows, so the named column holds no values
+        f = tmp_path / "t.csv"
+        f.write_text("a,b,class\n1,2\n")
+        with pytest.raises(ValueError, match="^label column index 2 out of range for 2 columns$"):
+            ds.load_csv(f, label_column="class")
+
     def test_round_trip_preserves_values_exactly(self, tmp_path):
         rng = np.random.default_rng(40)
         data = rng.normal(size=(20, 3))
@@ -291,6 +299,24 @@ class TestLoadCsv:
         f.write_bytes(content)
         with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {where};"):
             ds.load_csv(f)
+
+
+def test_load_csv_memory_does_not_hold_the_rows_twice(tmp_path):
+    roll = ds.make_swiss_roll(20_000, seed=0)
+    f = tmp_path / "roll.csv"
+    ds.write_csv(f, roll.data, roll.labels)
+    tracemalloc.start()
+    try:
+        loaded = ds.load_csv(f, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.data, roll.data)
+    seen = {}
+    first_seen = [seen.setdefault(label, len(seen)) for label in roll.labels.tolist()]
+    np.testing.assert_array_equal(loaded.labels, first_seen)
+    # the 640 KB of parsed values and labels, not a list of every row's cells (12 MB)
+    assert peak < 2.5e6
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +363,15 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=f"^labels must be whole numbers; row {row} "):
             ds.write_csv(f, np.ones((2, 2)), labels)
         assert f.read_text() == "kept\n"
+
+    def test_rows_beyond_one_chunk_are_written_as_one_text(self, tmp_path):
+        rng = np.random.default_rng(41)
+        data = rng.normal(size=(2 * ds._WRITE_ROWS + 5, 2))
+        labels = rng.integers(-3, 3, size=len(data))
+        f = tmp_path / "t.csv"
+        ds.write_csv(f, data, labels)
+        lines = [f"{x!r},{y!r},{label}" for (x, y), label in zip(data.tolist(), labels.tolist())]
+        assert f.read_bytes() == "\n".join(["x0,x1,label", *lines, ""]).encode()
 
     def test_labels_length_checked(self, tmp_path):
         with pytest.raises(ValueError, match="does not match"):

@@ -16,7 +16,7 @@ import cbmap
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
-from cbmap.linalg_core import euclidean_distance_matrix, zscore_normalize
+from cbmap.linalg_core import euclidean_distance_matrix, row_blocks, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
 from _util import two_blobs
 
@@ -314,6 +314,24 @@ class TestTransform:
         order = np.random.default_rng(0).permutation(len(x))
         np.testing.assert_allclose(cbmap.transform(model, x[order]), whole[order],
                                    rtol=0.0, atol=1e-12)
+
+    def test_rows_across_block_boundaries_land_where_they_would_alone(self):
+        roll = cbmap.make_swiss_roll(7500, seed=3)
+        model = cbmap.fit(roll.data[:2000], cbmap.CbmapConfig(n_clusters=40, max_iter=30,
+                                                              seed=0)).model
+        x = roll.data[2000:]
+        blocks = list(row_blocks(len(x), 40, em._TRANSFORM_CHUNKS))
+        assert len(blocks) == 3
+        whole = cbmap.transform(model, x, iters=20)
+        # the rows on either side of each block boundary, and a sample of the rest
+        edges = [b.start + i for b in blocks[1:] for i in (-2, -1, 0, 1)]
+        for i in sorted({*edges, *range(0, len(x), 101)}):
+            np.testing.assert_allclose(cbmap.transform(model, x[i:i + 1], iters=20),
+                                       whole[i:i + 1], rtol=0.0, atol=1e-12)
+        # blocks of another size cut every row from different neighbours
+        parts = np.vstack([cbmap.transform(model, x[i:i + 1000], iters=20)
+                           for i in range(0, len(x), 1000)])
+        np.testing.assert_allclose(parts, whole, rtol=0.0, atol=1e-12)
 
     def test_iters_validated(self, blob_fit):
         _, result = blob_fit
