@@ -1,10 +1,14 @@
 """Tests for the global score and kNN accuracy metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbmap import metrics as mx
-from cbmap.datasets import make_s_curve
+from cbmap.datasets import make_s_curve, make_swiss_roll
 from cbmap.linalg_core import euclidean_distance_matrix, pca_fit, pca_transform
 from _util import disk_blobs
 
@@ -181,6 +185,159 @@ class TestKnnAccuracy:
     def test_label_length_checked(self):
         with pytest.raises(ValueError, match="labels length"):
             mx.knn_accuracy(np.zeros((5, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("shape", [(20, 1), (20, 2), ()])
+    def test_labels_must_be_one_dimensional(self, shape):
+        y = np.random.default_rng(47).normal(size=(20, 2))
+        labels = np.arange(int(np.prod(shape))).reshape(shape) % 2
+        with pytest.raises(ValueError, match=r"labels must be 1-D, got shape"):
+            mx.knn_accuracy(y, labels)
+
+    def test_nan_labels_rejected(self):
+        y = np.random.default_rng(48).normal(size=(10, 2))
+        labels = np.array([0.0, 1.0] * 4 + [np.nan, np.nan])
+        with pytest.raises(ValueError, match="labels contain NaN"):
+            mx.knn_accuracy(y, labels)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True])
+    def test_non_integer_k_rejected(self, k):
+        y = np.random.default_rng(49).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            mx.knn_accuracy(y, np.arange(10) % 2, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        y, labels = disk_blobs([(0.0, 0.0), (50.0, 50.0)], n_per=20, seed=5)
+        assert mx.knn_accuracy(y, labels, k=np.int64(3)) == 1.0
+
+
+def _training_rows(kind, rng, n, m):
+    """``n`` rows of ``m`` columns of one of the layouts the grid search must handle."""
+    if kind == "integer-grid":  # most distances tie, many at a tile's edge
+        return rng.integers(0, rng.integers(2, 12), size=(n, m)).astype(np.float64)
+    if kind == "duplicates":
+        return rng.normal(size=(6, m))[rng.integers(0, 6, size=n)]
+    if kind == "zero-width":
+        rows = rng.normal(size=(n, m))
+        rows[:, 0] = 2.5
+        return rows
+    if kind == "clustered":  # two tight clusters, empty tiles between them
+        return rng.normal(scale=0.1, size=(n, m)) + 50.0 * rng.choice([-1.0, 1.0], size=(n, 1))
+    if kind == "huge":
+        return rng.normal(size=(n, m)) * 1e150
+    if kind == "tiny":  # squared distances underflow to zero
+        return rng.normal(size=(n, m)) * 1e-170
+    return rng.uniform(size=(n, m))
+
+
+def _brute_force_neighbors(train, queries, k):
+    return mx._nearest_neighbors(euclidean_distance_matrix(queries, train), k)
+
+
+def _tiled_neighbors(train, queries, k):
+    """Every query row's neighbors from the grid search, checking each row comes once."""
+    nearest = np.full((queries.shape[0], k), -1)
+    for rows, block in mx._neighbor_blocks(train, queries, k):
+        assert np.all(nearest[rows] == -1)
+        nearest[rows] = block
+    assert np.all(nearest >= 0)
+    return nearest
+
+
+class TestTiledNeighborSearch:
+    """The grid search gives the all-pairs scan's neighbors, order and accuracy."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["integer-grid", "duplicates", "zero-width", "clustered",
+                                 "huge", "tiny", "uniform"]),
+           m=st.sampled_from([1, 2, 3]), k=st.sampled_from([1, 3, 5]),
+           n_train=st.integers(8, 150), n_queries=st.integers(1, 60),
+           outside=st.booleans(), tile_rows=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_all_pairs_scan(self, kind, m, k, n_train, n_queries, outside, tile_rows,
+                                    seed):
+        # tiles of a few rows, at least 2 per column, put small inputs on a grid
+        rng = np.random.default_rng(seed)
+        train = _training_rows(kind, rng, n_train, m)
+        queries = _training_rows(kind, rng, n_queries, m)
+        if outside:  # every other query row beyond the training rows' bounding box
+            queries[::2] = 3.0 * queries[::2] + 2.0 * np.abs(train).max()
+        y = np.vstack([train, queries])
+        labels = rng.permutation(np.arange(y.shape[0]) % 3)
+        split = mx.HoldoutSpec(seed=seed % 1000)
+        with mock.patch.object(mx, "_KNN_TILE_ROWS", tile_rows), \
+                mock.patch.object(mx, "_KNN_MIN_TILES", 2):
+            np.testing.assert_array_equal(_tiled_neighbors(train, queries, k),
+                                          _brute_force_neighbors(train, queries, k))
+            acc = mx.knn_accuracy(y, labels, k=k, split=split)
+        assert acc == pytest.approx(_knn_oracle(y, labels, k, split), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rows_near_region_edges_fall_back_to_the_whole_set(self, m, monkeypatch):
+        # tiles of one row leave many rows' 5th neighbor beyond the gathered
+        # region: those rows must go to the whole set, the rest stay in tiles
+        rng = np.random.default_rng(51)
+        train, queries = rng.uniform(size=(400, m)), rng.uniform(size=(200, m))
+        searched = []
+
+        def recording(a, b, squared=False):
+            searched.append(b.shape[0])
+            return euclidean_distance_matrix(a, b, squared)
+
+        monkeypatch.setattr(mx, "_KNN_TILE_ROWS", 1)
+        monkeypatch.setattr(mx, "euclidean_distance_matrix", recording)
+        nearest = _tiled_neighbors(train, queries, 5)
+        assert 400 in searched and min(searched) < 400
+        np.testing.assert_array_equal(nearest, _brute_force_neighbors(train, queries, 5))
+
+    def test_tie_at_the_region_edge_goes_to_the_lower_index(self, monkeypatch):
+        # one row per integer 0..19, in tiles about two wide: from 10, the
+        # gathered region holds 8..13, and rows 7 and 13 tie for the 6th
+        # neighbor at 3, exactly the distance to the region's lower edge. Row 7
+        # lies outside the region but comes first
+        monkeypatch.setattr(mx, "_KNN_TILE_ROWS", 2)
+        nearest = _tiled_neighbors(np.arange(20.0)[:, None], np.array([[10.0]]), 6)
+        assert nearest[0].tolist() == [10, 9, 11, 8, 12, 7]
+
+    def test_roll_embedding_scans_a_small_share_of_pairs(self, monkeypatch):
+        # an unrolled 20,000-row swiss roll: radius and height, as a good
+        # embedding lays it out. The all-pairs scan would compute 4000 x 16000
+        # distances; the grid search computes under 5% of them
+        ds = make_swiss_roll(20_000, seed=0)
+        y = np.column_stack([np.hypot(ds.data[:, 0], ds.data[:, 2]), ds.data[:, 1]])
+        computed = []
+
+        def counting(a, b, squared=False):
+            out = euclidean_distance_matrix(a, b, squared)
+            computed.append(out.size)
+            return out
+
+        monkeypatch.setattr(mx, "euclidean_distance_matrix", counting)
+        acc = mx.knn_accuracy(y, ds.labels)
+        train_idx, test_idx = mx._stratified_split(ds.labels, mx.HoldoutSpec())
+        assert sum(computed) < 0.05 * train_idx.size * test_idx.size
+        # the same neighbors as the all-pairs scan, on every 10th test row
+        train, queries = y[train_idx], y[test_idx]
+        monkeypatch.setattr(mx, "euclidean_distance_matrix", euclidean_distance_matrix)
+        np.testing.assert_array_equal(_tiled_neighbors(train, queries, 3)[::10],
+                                      _brute_force_neighbors(train, queries[::10], 3))
+        assert 0.95 < acc <= 1.0
+
+    def test_small_inputs_stay_on_one_tile(self, monkeypatch):
+        # below a few thousand training rows the all-pairs scan is as fast
+        # as the grid, so the search is exactly that scan
+        y = np.random.default_rng(50).uniform(size=(1500, 2))
+        labels = np.arange(1500) % 4
+        computed = []
+
+        def counting(a, b, squared=False):
+            out = euclidean_distance_matrix(a, b, squared)
+            computed.append(out.shape)
+            return out
+
+        monkeypatch.setattr(mx, "euclidean_distance_matrix", counting)
+        mx.knn_accuracy(y, labels)
+        assert {cols for _, cols in computed} == {1200}
+        assert sum(rows for rows, _ in computed) == 300
 
 
 class TestEvaluate:
