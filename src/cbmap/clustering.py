@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix
+from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix, row_blocks
 
 # kmeans_fit keeps the best of N_INIT Lloyd runs below FULL_BATCH_LIMIT rows,
 # and from there on runs mini-batches of BATCH_SIZE rows.
@@ -155,9 +155,16 @@ def update_centers(x, labels, previous) -> np.ndarray:
     counts = np.bincount(labels, minlength=len(previous))
     occupied = counts > 0
     if x.shape[1] > len(previous):
-        # Adds each label's rows in order from 0.0, as bincount does: the same bits.
+        # Adds each label's rows in order from 0.0, as bincount does: the same
+        # bits. The rows come a block at a time, each block under the running
+        # sum, which adds to 0.0 exactly, so no label's rows are copied whole.
         for j in np.flatnonzero(occupied):
-            centers[j] = x[labels == j].sum(axis=0, initial=0.0) / counts[j]
+            members = np.flatnonzero(labels == j)
+            blocks = row_blocks(members.size, x.shape[1])
+            total = x[members[next(blocks)]].sum(axis=0, initial=0.0)
+            for rows in blocks:
+                total = np.vstack((total, x[members[rows]])).sum(axis=0, initial=0.0)
+            centers[j] = total / counts[j]
         return centers
     for col in range(x.shape[1]):
         sums = np.bincount(labels, weights=x[:, col], minlength=len(previous))
@@ -179,7 +186,9 @@ def _reseed_empty(x, centers):
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
-        dist_to_own = np.linalg.norm(x - centers[labels], axis=1)
+        dist_to_own = np.empty(x.shape[0])
+        for rows in row_blocks(x.shape[0], x.shape[1]):
+            dist_to_own[rows] = np.linalg.norm(x[rows] - centers[labels[rows]], axis=1)
         far = int(np.argmax(dist_to_own))
         if dist_to_own[far] <= 0:
             break
@@ -190,9 +199,17 @@ def _reseed_empty(x, centers):
 
 
 def _inertia(x, centers, labels):
-    diff = centers[labels]
-    diff -= x
-    return float(np.einsum("ij,ij->i", diff, diff).sum())
+    """Sum of squared distances to the assigned centers.
+
+    Each row's squared distance is formed in cache-sized blocks of rows, and
+    the (n,) result is summed once, so the value does not depend on the
+    block size."""
+    per_row = np.empty(x.shape[0])
+    for rows in row_blocks(x.shape[0], x.shape[1]):
+        diff = centers[labels[rows]]
+        diff -= x[rows]
+        np.einsum("ij,ij->i", diff, diff, out=per_row[rows])
+    return float(per_row.sum())
 
 
 def _lloyd_once(x, k, max_iters, rng):

@@ -24,6 +24,7 @@ from .linalg_core import (
     as_data_matrix,
     check_seed,
     euclidean_distance_matrix,
+    fit_scaler,
     pca_fit,
     pca_transform,
     row_blocks,
@@ -158,6 +159,7 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     if loss is None:
         loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
+    del u_low  # so the Adam step's (n, m) temporaries do not sit beside it
     # an overflowing step is reported below, by the setting that caused it
     with np.errstate(over="ignore", invalid="ignore"):
         y, state = adam_update(y, grad, state, learning_rate, step_index)
@@ -194,9 +196,11 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     labels = assignment.labels
     centers_high = assignment.centers
 
+    # (n, k) distances keep the kernel's difference-tensor branch when d >= k;
+    # their transpose gives the (k, n) memberships directly
     dist_high = euclidean_distance_matrix(x, centers_high)
     s_high = mb.sigma_high(dist_high)
-    u_high = np.ascontiguousarray(mb.membership_matrix(dist_high, s_high).T)
+    u_high = mb.membership_matrix(dist_high.T, s_high)
     del dist_high
 
     # Independent streams for the center draw and the point-noise draw.
@@ -221,8 +225,10 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     for it in range(cfg.max_iter):
         y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state,
                                               cfg.learning_rate, it + 1)
-        centers_low = zscore_normalize(update_centers(y, labels, centers_low))
-        s_low = mb.sigma_low(centers_low)
+        # the loop's own centers are finite, so they skip the public checks
+        centers_low = update_centers(y, labels, centers_low)
+        centers_low = apply_scaler(centers_low, *fit_scaler(centers_low))
+        s_low = mb._sigma_low(centers_low)
 
     model = CbmapModel(centers_high, centers_low, s_high, s_low, cfg.learning_rate)
     return FitResult(embedding=y, loss_history=history, model=model, labels=labels)
@@ -258,7 +264,7 @@ def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:
     if model.feature_scaler is not None:
         x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
     dist_high = euclidean_distance_matrix(x, model.centers_high)
-    u_high = np.ascontiguousarray(mb.membership_matrix(dist_high, model.sigma_high).T)
+    u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
     # argmax membership == argmin distance, and stays well defined when every
     # membership in a row underflows to zero
     nearest = np.argmin(dist_high, axis=1)

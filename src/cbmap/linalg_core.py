@@ -12,6 +12,11 @@ import numpy as np
 # membership loss takes blocks of rows, and the gradient (k, points) blocks of
 # centers-by-points memberships, of the same budget.
 _CHUNK_ELEMS = 32_768
+# pca_fit sums its Gram matrix over blocks of rows of this many chunks
+# (512 KB). On 1500 x 256 data (medians of 15) the whole-matrix product took
+# 10.3 ms, blocks of one chunk 10.2 ms, of two 9.2 ms, and of four 8.3 ms
+# while holding 1 MB more.
+_PCA_CHUNKS = 2
 
 
 def as_data_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -138,8 +143,11 @@ def pca_fit(x, m: int) -> PcaModel:
     """Fit the top ``m`` principal directions of ``x``.
 
     They are the top eigenvectors of the smaller Gram matrix of the centered
-    matrix ``xc``: ``xcᵀxc`` for n >= d, else ``xc·xcᵀ``, whose eigenvectors map
-    back through ``xcᵀ`` and are orthonormalized (completing zero-variance ones).
+    matrix ``xc``: ``xcᵀxc`` for n >= d, summed over blocks of
+    ``_PCA_CHUNKS`` cache-sized blocks of rows, else ``xc·xcᵀ``, whose
+    eigenvectors map back through ``xcᵀ`` and are orthonormalized (completing
+    zero-variance ones). An input that fits in one block, such as a few
+    low-dimensional centers, gets the Gram matrix of a single product.
     Component signs are fixed so that each row's largest-magnitude entry is
     positive, which makes results reproducible across equivalent inputs.
     """
@@ -149,10 +157,19 @@ def pca_fit(x, m: int) -> PcaModel:
     if not 1 <= m <= limit:
         raise ValueError(f"m must be in [1, {limit}] for a {n}x{d} matrix, got {m}")
     mean = x.mean(axis=0)
-    xc = x - mean
-    _, eigvecs = np.linalg.eigh(xc.T @ xc if n >= d else xc @ xc.T)
-    top = eigvecs[:, :-m - 1:-1]
-    components = (top if n >= d else np.linalg.qr(xc.T @ top)[0]).T.copy()
+    if n >= d:
+        # xcᵀxc summed over blocks of centred rows, so xc is never held whole
+        blocks = row_blocks(n, d, _PCA_CHUNKS)
+        xc = x[next(blocks)] - mean
+        gram = xc.T @ xc
+        for rows in blocks:
+            xc = x[rows] - mean
+            gram += xc.T @ xc
+        components = np.linalg.eigh(gram)[1][:, :-m - 1:-1].T.copy()
+    else:
+        xc = x - mean
+        top = np.linalg.eigh(xc @ xc.T)[1][:, :-m - 1:-1]
+        components = np.linalg.qr(xc.T @ top)[0].T.copy()
     for row in components:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:

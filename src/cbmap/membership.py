@@ -42,6 +42,13 @@ def sigma_low(centers) -> float:
     k = c.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 centers to estimate a bandwidth, got {k}")
+    return _sigma_low(c)
+
+
+def _sigma_low(c) -> float:
+    """:func:`sigma_low` of a finite float64 (k, m) array with k >= 2, unchecked:
+    the fit loop's own centers."""
+    k = c.shape[0]
     d = euclidean_distance_matrix(c, c)
     off_diagonal = d[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     value = float(np.median(off_diagonal, axis=1).mean())
@@ -51,13 +58,23 @@ def sigma_low(centers) -> float:
 
 
 def membership_matrix(distances, sigma: float) -> np.ndarray:
-    """Gaussian membership exp(-dist^2 / (2 sigma^2)) for every point-center pair."""
+    """Gaussian membership exp(-dist^2 / (2 sigma^2)) for every pair of ``distances``.
+
+    The result is a new C-contiguous array whatever the memory order of
+    ``distances``, so the transpose of (points, centers) distances gives
+    contiguous (centers, points) memberships, bit for bit the transpose of
+    the memberships of the distances themselves.
+    """
     d = as_data_matrix(distances, "distances")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    out = np.empty(d.shape)
     # a distance far beyond a tiny sigma overflows to -inf, whose membership is 0
     with np.errstate(over="ignore"):
-        return np.exp(-(d * d) / (2.0 * sigma * sigma))
+        np.multiply(d, d, out=out)
+        out /= -(2.0 * sigma * sigma)
+    np.exp(out, out=out)
+    return out
 
 
 def frobenius_loss(u_low, u_high) -> float:

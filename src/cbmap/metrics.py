@@ -13,11 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix, pca_fit
+from .linalg_core import (
+    as_data_matrix,
+    check_seed,
+    euclidean_distance_matrix,
+    pca_fit,
+    row_blocks,
+)
 
 # Test points per kNN block are chosen so that a block's test-by-candidate
-# distances stay at most this many float64 elements (2 MB).
-_KNN_BLOCK_ELEMS = 262_144
+# distances stay at most this many float64 elements (512 KB); argpartition's
+# int64 indices for them take as much again. On 1200 training rows kNN
+# accuracy took as long with 512 KB blocks as with 2 MB ones (medians of 25,
+# 4.9 ms), and 8 % longer with 256 KB ones, which pay each block's fixed
+# cost more often.
+_KNN_BLOCK_ELEMS = 65_536
 # The exact kNN search grids at most this many embedding columns, into tiles
 # of about _KNN_TILE_ROWS training rows, and only with at least _KNN_MIN_TILES
 # tiles per gridded column: on two columns that is 1600 training rows. Below
@@ -52,18 +62,37 @@ class MetricReport:
     knn_accuracy: float | None
 
 
-def _min_reconstruction_error(x_centered, y_centered) -> float:
-    """Frobenius norm of the least-squares residual mapping y back onto x.
+def _column_basis(a) -> np.ndarray:
+    """Orthonormal basis of the column space of ``a``, from its thin SVD.
 
-    ``x_centered`` is projected onto the column space of ``y_centered``, taken
-    from a thin SVD that drops singular values below ``lstsq``'s default cutoff,
-    so a rank-deficient embedding loses its null directions as ``lstsq`` does.
+    Singular values at or below ``lstsq``'s default cutoff are dropped, so a
+    rank-deficient embedding loses its null directions as ``lstsq`` does.
     """
-    u, s, _ = np.linalg.svd(y_centered, full_matrices=False)
-    u = u[:, s > np.finfo(np.float64).eps * max(y_centered.shape) * s[0]]
-    residual = u @ (u.T @ x_centered)
-    np.subtract(x_centered, residual, out=residual)
-    return float(np.sqrt(np.sum(np.square(residual, out=residual))))
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > np.finfo(np.float64).eps * max(a.shape) * s[0]]
+
+
+def _reconstruction_errors(x, mean, bases) -> list:
+    """Per (n, r) orthonormal basis ``u``, the Frobenius norm of the residual
+    ``xc - u uᵀxc`` of the centred data ``xc = x - mean``.
+
+    One pass over cache-sized blocks of rows sums every ``uᵀxc``, a second
+    forms each block's residuals explicitly and sums their squares: subtracting
+    ``|uᵀxc|²`` from ``|xc|²`` would cancel for data the basis nearly spans.
+    """
+    projections = [np.zeros((u.shape[1], x.shape[1])) for u in bases]
+    for rows in row_blocks(*x.shape):
+        xc = x[rows] - mean
+        for u, p in zip(bases, projections):
+            p += u[rows].T @ xc
+    squares = [0.0] * len(bases)
+    for rows in row_blocks(*x.shape):
+        xc = x[rows] - mean
+        for i, (u, p) in enumerate(zip(bases, projections)):
+            residual = u[rows] @ p
+            np.subtract(xc, residual, out=residual)
+            squares[i] += np.einsum("ij,ij->", residual, residual)
+    return [float(np.sqrt(sq)) for sq in squares]
 
 
 def global_score(x, y) -> float:
@@ -74,6 +103,10 @@ def global_score(x, y) -> float:
     reconstruction error over affine maps from the embedding back to the
     data. A PCA embedding of the same width scores exactly 1, and no
     embedding can beat it, so scores lie in (0, 1].
+
+    The centred data is formed only in cache-sized blocks of rows, in three
+    passes: one for the PCA scores, one for both projections and one for
+    both residuals.
     """
     x = as_data_matrix(x, "x")
     y = as_data_matrix(y, "y")
@@ -84,27 +117,38 @@ def global_score(x, y) -> float:
             f"embedding width {y.shape[1]} must be smaller than the data width {x.shape[1]}"
         )
     pca = pca_fit(x, y.shape[1])
-    x_centered = x - pca.mean
-    pca_embedding = x_centered @ pca.components.T
-    mre_pca = _min_reconstruction_error(x_centered, pca_embedding - pca_embedding.mean(axis=0))
+    scores = np.empty(y.shape)
+    x_sq = 0.0
+    for rows in row_blocks(*x.shape):
+        xc = x[rows] - pca.mean
+        np.matmul(xc, pca.components.T, out=scores[rows])
+        x_sq += np.einsum("ij,ij->", xc, xc)
+    mre_pca, mre_y = _reconstruction_errors(
+        x, pca.mean, [_column_basis(scores - scores.mean(axis=0)),
+                      _column_basis(y - y.mean(axis=0))])
     # rank-deficient data leaves only rounding residue, never an exact zero
-    if mre_pca <= 1e-12 * max(np.linalg.norm(x_centered), 1.0):
+    if mre_pca <= 1e-12 * max(np.sqrt(x_sq), 1.0):
         raise ValueError(
             "data is perfectly reconstructed by PCA at this width (rank <= embedding "
             "dimension); reduce the embedding dimension to get a meaningful score"
         )
-    mre_y = _min_reconstruction_error(x_centered, y - y.mean(axis=0))
     return float(np.exp(-(mre_y - mre_pca) / mre_pca))
 
 
 def _stratified_split(labels, split: HoldoutSpec):
+    """Train and test positions, each sorted, drawn per class in label order.
+
+    One stable argsort of the labels lists every class's members in
+    ascending position, as a scan for each class would."""
     rng = np.random.default_rng(split.seed)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
     train, test = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
+    for idx in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
         if idx.size < 2:
             raise ValueError(
-                f"class {c} has only {idx.size} member(s); need at least 2 for a stratified split"
+                f"class {labels[idx[0]]} has only {idx.size} member(s); "
+                "need at least 2 for a stratified split"
             )
         perm = rng.permutation(idx)
         n_test = int(round(split.test_fraction * idx.size))

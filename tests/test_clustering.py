@@ -1,11 +1,13 @@
 """Tests for k-means clustering and label assignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cbmap import clustering as cl
 from cbmap.datasets import make_swiss_roll
-from cbmap.linalg_core import euclidean_distance_matrix
+from cbmap.linalg_core import _CHUNK_ELEMS, euclidean_distance_matrix
 from _util import disk_blobs
 
 
@@ -153,6 +155,49 @@ class TestKmeansFit:
         assert trace[-1] < trace[0]
         assert np.all(np.diff(trace) <= 1e-9)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 513])
+    def test_blocked_inertia_is_bit_equal_to_the_whole_array_formula(self, extra):
+        # 64 columns make blocks of 512 rows; the sizes straddle block edges
+        d = 64
+        n = 2 * (_CHUNK_ELEMS // d) + extra
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        centers = rng.normal(size=(7, d))
+        labels = rng.integers(0, 7, size=n)
+        diff = centers[labels] - x
+        assert cl._inertia(x, centers, labels) == float(np.einsum("ij,ij->i", diff, diff).sum())
+
+    def test_reseeding_moves_centers_onto_the_whole_array_farthest_points(self):
+        # three centers far from every row stay empty; each is moved in turn
+        # onto the row farthest from its own center, over 2.5 blocks of rows
+        d = 64
+        n = 5 * (_CHUNK_ELEMS // d) // 2
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(n, d))
+        centers = np.vstack([rng.normal(size=(2, d)), np.full((3, d), 1e3)])
+        expected = centers.copy()
+        for j in (2, 3, 4):
+            labels = np.argmin(euclidean_distance_matrix(x, expected), axis=1)
+            far = int(np.argmax(np.linalg.norm(x - expected[labels], axis=1)))
+            expected[j] = x[far]
+        got, labels = cl._reseed_empty(x, centers)
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            labels, np.argmin(euclidean_distance_matrix(x, expected), axis=1))
+
+    def test_lloyd_memory_stays_below_half_the_input(self):
+        # a centers[labels] copy, or a second (n, d) array of any kind, would
+        # take the input's whole size
+        x = np.random.default_rng(36).normal(size=(4000, 256))
+        assert 4000 < cl.FULL_BATCH_LIMIT
+        tracemalloc.start()
+        try:
+            cl.kmeans_fit(x, cl.KmeansConfig(k=8, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
+
     @pytest.mark.parametrize("seed", range(5))
     def test_minibatch_agrees_with_full_on_blobs(self, blob_data, seed, monkeypatch):
         x, _ = blob_data
@@ -271,8 +316,9 @@ class TestUpdateCenters:
         for j in range(4):
             np.testing.assert_allclose(out[j], y[labels == j].mean(axis=0), atol=1e-12)
 
-    @pytest.mark.parametrize("n, d, k", [(200, 40, 6), (200, 3, 6), (50, 6, 6)])
+    @pytest.mark.parametrize("n, d, k", [(200, 40, 6), (200, 3, 6), (50, 6, 6), (3000, 64, 3)])
     def test_bit_equal_to_a_per_column_bincount(self, n, d, k):
+        # 3000 rows of 64 columns sum each label's rows over several blocks
         rng = np.random.default_rng(d)
         y = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
         y[:, 0] = -0.0  # an all -0.0 column sums to +0.0 from bincount's zero start

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -209,6 +210,46 @@ class TestFit:
                                                   seed=0))
             with pytest.raises(ValueError, match=message):
                 cbmap.transform(replace(result.model, learning_rate=lr), data[:20])
+
+    def test_memory_holds_about_two_membership_arrays(self):
+        # the (k, n) high- and low-dimensional memberships, and beside them
+        # only the descent's (n, 2) arrays and blocks of bounded size
+        x = cbmap.make_swiss_roll(20_000, seed=0).data
+        k, n = 40, x.shape[0]
+        cbmap.fit(x[:500], cbmap.CbmapConfig(n_clusters=5, max_iter=2))  # one-time set-up
+        tracemalloc.start()
+        try:
+            cbmap.fit(x, cbmap.CbmapConfig(n_clusters=k, max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * k * n * 8
+
+    def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
+        # per iteration: the step's distance call (2) and loss_gradient (2),
+        # and the bandwidth's distance call (2); the loop's own centers are
+        # not checked again. The public z-score and bandwidth run once, at the start
+        calls = {"check": 0, "zscore": 0, "sigma_low": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        check = counted("check", cbmap.linalg_core.as_data_matrix)
+        for module in (cbmap.linalg_core, mb, em, cbmap.clustering):
+            monkeypatch.setattr(module, "as_data_matrix", check)
+        monkeypatch.setattr(em, "zscore_normalize", counted("zscore", zscore_normalize))
+        monkeypatch.setattr(mb, "sigma_low", counted("sigma_low", mb.sigma_low))
+        data, _ = two_blobs(60, seed=13)
+        per_run = []
+        for max_iter in (1, 3):
+            calls.update(check=0, zscore=0, sigma_low=0)
+            cbmap.fit(data, cbmap.CbmapConfig(n_clusters=4, max_iter=max_iter))
+            per_run.append(dict(calls))
+        assert (per_run[1]["check"] - per_run[0]["check"]) / 2 == 6
+        assert all(run["zscore"] == 1 and run["sigma_low"] == 1 for run in per_run)
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -177,6 +177,19 @@ class TestZscoreNormalize:
         np.testing.assert_allclose(lc.zscore_normalize(once), once, atol=1e-10)
 
 
+def _whole_matrix_components(x, m):
+    """pca_fit's components from the Gram matrix of the whole centred matrix,
+    formed in one product."""
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    top = np.linalg.eigh(xc.T @ xc if n >= d else xc @ xc.T)[1][:, :-m - 1:-1]
+    components = (top if n >= d else np.linalg.qr(xc.T @ top)[0]).T.copy()
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return components
+
+
 class TestPcaFit:
     def test_axis_aligned_line(self):
         x = np.array([[-2.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -242,6 +255,24 @@ class TestPcaFit:
         kept = s[:m] > 1e-12 * s[0]
         np.testing.assert_allclose(model.components[kept].T @ model.components[kept],
                                    vt[:m][kept].T @ vt[:m][kept], atol=1e-9)
+
+    @pytest.mark.parametrize("n, d", [(20, 256), (40, 3), (1024, 64)],
+                             ids=["wide-centers", "roll-centers", "one-full-block"])
+    def test_one_block_is_bit_equal_to_the_whole_matrix_product(self, n, d):
+        # fit's center PCA, of k centers, is a wide matrix or fits in one block
+        assert n < d or n <= lc._PCA_CHUNKS * (lc._CHUNK_ELEMS // d)
+        x = np.random.default_rng(18).normal(size=(n, d)) * np.geomspace(1.0, 10.0, d)
+        model = lc.pca_fit(x, 2)
+        np.testing.assert_array_equal(model.components, _whole_matrix_components(x, 2))
+
+    @pytest.mark.parametrize("n", [1024, 1025, 3000])
+    def test_blocked_gram_matches_the_whole_matrix_product(self, n):
+        # 1024 rows of 64 columns make one block; more rows sum several
+        d = 64
+        x = np.random.default_rng(19).normal(size=(n, d)) * np.geomspace(1.0, 10.0, d) + 5.0
+        model = lc.pca_fit(x, 3)
+        np.testing.assert_allclose(model.components, _whole_matrix_components(x, 3),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_m_out_of_range(self, m):

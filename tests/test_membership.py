@@ -144,6 +144,19 @@ class TestMembershipMatrix:
         with pytest.raises(ValueError, match="positive"):
             mb.membership_matrix([[1.0]], sigma)
 
+    @pytest.mark.parametrize("sigma", [0.37, 1.3, 2e-154])
+    def test_transposed_distances_give_the_transpose_contiguous(self, sigma):
+        # fit and transform build (k, n) memberships from (n, k) distances this
+        # way; the tiny bandwidth sends most entries through overflow to zero
+        d = np.random.default_rng(27).uniform(0.0, 4.0, size=(1000, 7))
+        u = mb.membership_matrix(d, sigma)
+        u_t = mb.membership_matrix(d.T, sigma)
+        assert u.flags.c_contiguous and u_t.flags.c_contiguous
+        np.testing.assert_array_equal(u_t, u.T)
+        # and the bits of the whole-array formula
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(u, np.exp(-(d * d) / (2.0 * sigma * sigma)))
+
     @given(s=st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_joint_rescaling(self, s):

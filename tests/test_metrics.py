@@ -1,5 +1,6 @@
 """Tests for the global score and kNN accuracy metrics."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -96,6 +97,51 @@ class TestGlobalScore:
     def test_wide_embedding_rejected(self):
         with pytest.raises(ValueError, match="smaller than"):
             mx.global_score(np.zeros((5, 2)), np.zeros((5, 2)))
+
+
+def _peak_bytes(fn, *args):
+    """The tracemalloc peak of one call, after a first call has done any
+    one-time set-up."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _whole_matrix_score(x, y):
+    """The global score with the centred data and both residuals held whole."""
+    pca = pca_fit(x, y.shape[1])
+    xc = x - pca.mean
+    scores = xc @ pca.components.T
+
+    def mre(embedding):
+        ec = embedding - embedding.mean(axis=0)
+        u, s, _ = np.linalg.svd(ec, full_matrices=False)
+        u = u[:, s > np.finfo(np.float64).eps * max(ec.shape) * s[0]]
+        return np.linalg.norm(xc - u @ (u.T @ xc))
+
+    baseline = mre(scores)
+    return np.exp(-(mre(y) - baseline) / baseline)
+
+
+class TestGlobalScoreMemory:
+    def test_peak_stays_below_half_the_input(self):
+        # the centred data, its PCA residual or a second copy of either would
+        # each take the input's whole size
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(4000, 256)) * np.geomspace(1.0, 10.0, 256) + 3.0
+        y = x[:, :2] + 0.1 * rng.normal(size=(4000, 2))
+        assert _peak_bytes(mx.global_score, x, y) < x.nbytes / 2
+
+    def test_blocked_score_matches_the_whole_matrix_formula(self):
+        # 4000 rows of 64 columns span several blocks of every pass
+        rng = np.random.default_rng(38)
+        x = rng.normal(size=(4000, 64)) * np.geomspace(1.0, 10.0, 64)
+        y = x[:, -2:] + rng.normal(size=(4000, 2))
+        assert mx.global_score(x, y) == pytest.approx(_whole_matrix_score(x, y), rel=1e-13)
 
 
 def _knn_oracle(y, labels, k, split):
@@ -208,6 +254,55 @@ class TestKnnAccuracy:
     def test_numpy_integer_k_accepted(self):
         y, labels = disk_blobs([(0.0, 0.0), (50.0, 50.0)], n_per=20, seed=5)
         assert mx.knn_accuracy(y, labels, k=np.int64(3)) == 1.0
+
+
+def _scanned_split(labels, split):
+    """The stratified split with one ``labels == c`` scan per class."""
+    rng = np.random.default_rng(split.seed)
+    train, test = [], []
+    for c in np.unique(labels):
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        n_test = min(max(int(round(split.test_fraction * perm.size)), 1), perm.size - 1)
+        test.append(perm[:n_test])
+        train.append(perm[n_test:])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+
+
+class TestStratifiedSplit:
+    @pytest.mark.parametrize("kind", ["int", "str", "float", "5000 classes"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_a_scan_per_class(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "5000 classes":  # 2 to 7 members each
+            codes = rng.permutation(np.repeat(np.arange(5000), rng.integers(2, 8, size=5000)))
+        else:
+            codes = rng.integers(0, 6, size=20_000)
+        labels = {"int": codes - 3, "str": np.array([f"c{c}" for c in codes]),
+                  "float": codes * 0.1 - 0.25, "5000 classes": codes}[kind]
+        if kind == "float":  # -0.0 and +0.0 are one class
+            labels[codes == 0] = -0.0
+            labels[:2] = 0.0
+        split = mx.HoldoutSpec(test_fraction=0.3, seed=seed)
+        for got, expected in zip(mx._stratified_split(labels, split),
+                                 _scanned_split(labels, split)):
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestKnnMemory:
+    @pytest.mark.parametrize("all_pairs", [False, True], ids=["grid", "all-pairs"])
+    def test_peak_beyond_per_row_arrays_does_not_grow_with_n(self, all_pairs, monkeypatch):
+        # the split, the copies of the embedding and the grid's indices take
+        # under 200 bytes a row; distances and their argpartition indices come
+        # in blocks of _KNN_BLOCK_ELEMS, whatever the row count
+        if all_pairs:
+            monkeypatch.setattr(mx, "_KNN_MIN_TILES", 10**9)
+        rng = np.random.default_rng(39)
+        peaks = {}
+        for n in (3000, 12_000):
+            y = rng.uniform(size=(n, 2))
+            peaks[n] = _peak_bytes(mx.knn_accuracy, y, np.arange(n) % 4)
+        assert peaks[12_000] - peaks[3000] < 200 * 9000
+        assert peaks[3000] < 200 * 3000 + 3 * 8 * mx._KNN_BLOCK_ELEMS
 
 
 def _training_rows(kind, rng, n, m):
