@@ -103,7 +103,7 @@ def _read_input(args, default_label=None):
 
 def _config(args, k, seed) -> CbmapConfig:
     return CbmapConfig(n_clusters=k, out_dim=args.dim, max_iter=args.max_iter,
-                       learning_rate=args.lr, center_init=args.init, seed=seed)
+                       center_init=args.init, seed=seed)
 
 
 def _write_embedding(out, y, labels) -> None:
@@ -205,8 +205,8 @@ def cmd_fit(args):
     if args.verbose:
         print(f"fit: k={k}, loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, "
               f"wrote {out}", file=sys.stderr)
-    config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter, "lr": args.lr,
-              "init": args.init, "standardize": args.standardize}
+    config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter, "init": args.init,
+              "standardize": args.standardize}
     return config, [out, model_path, loss_path]
 
 
@@ -244,7 +244,7 @@ def cmd_benchmark(args):
         json.dump(entries, fh, indent=2)
         fh.write("\n")
     config = {**source, "k_list": args.k_list, "seeds": args.seeds, "dim": args.dim,
-              "max_iter": args.max_iter, "lr": args.lr, "init": args.init}
+              "max_iter": args.max_iter, "init": args.init}
     return config, [out]
 
 
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     descent = argparse.ArgumentParser(add_help=False)
     descent.add_argument("--dim", type=int, default=2, help="embedding dimension")
     descent.add_argument("--max-iter", type=int, default=500)
-    descent.add_argument("--lr", type=float, default=0.1)
     descent.add_argument("--init", choices=("pca", "random"), default="pca")
 
     p = sub.add_parser("generate", parents=[output], help="write a toy dataset as CSV")

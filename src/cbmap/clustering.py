@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, check_seed, euclidean_distance_matrix, row_blocks
+from .linalg_core import (
+    as_data_matrix,
+    check_count,
+    check_seed,
+    euclidean_distance_matrix,
+    row_blocks,
+)
 
 # kmeans_fit keeps the best of N_INIT Lloyd runs below FULL_BATCH_LIMIT rows,
 # and from there on runs mini-batches of BATCH_SIZE rows.
@@ -36,10 +42,8 @@ class KmeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        check_count(self.k, "k", 1)
+        check_count(self.max_iters, "max_iters", 1)
         check_seed(self.seed)
 
 

@@ -22,6 +22,7 @@ from .datasets import _utf8_error
 from .linalg_core import (
     apply_scaler,
     as_data_matrix,
+    check_count,
     check_seed,
     euclidean_distance_matrix,
     fit_scaler,
@@ -36,6 +37,7 @@ MODEL_FORMAT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_LEARNING_RATE = 0.1  # the step size of every fit and transform
 
 _CENTER_INITS = ("pca", "random")
 # positions this far out keep every square below 1e301, so the distances and
@@ -67,21 +69,14 @@ class CbmapConfig:
     n_clusters: int
     out_dim: int = 2
     max_iter: int = 500
-    learning_rate: float = 0.1
     center_init: str = "pca"
     clustering: KmeansConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 2:
-            raise ValueError(f"n_clusters must be at least 2, got {self.n_clusters}")
-        if self.out_dim < 1:
-            raise ValueError(f"out_dim must be at least 1, got {self.out_dim}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        check_count(self.n_clusters, "n_clusters", 2)
+        check_count(self.out_dim, "out_dim", 1)
+        check_count(self.max_iter, "max_iter", 1)
         if self.center_init not in _CENTER_INITS:
             raise ValueError(f"center_init must be one of {_CENTER_INITS}, got {self.center_init!r}")
         check_seed(self.seed)
@@ -95,7 +90,6 @@ class CbmapModel:
     centers_low: np.ndarray  # (k, m)
     sigma_high: float
     sigma_low: float
-    learning_rate: float
     feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) of the raw input
 
 
@@ -119,15 +113,16 @@ class AdamState:
         return cls(mean=np.zeros(shape), variance=np.zeros(shape))
 
 
-def adam_update(y, grad, state: AdamState, learning_rate: float, step_index: int):
-    """One bias-corrected Adam step; returns the new positions and state."""
+def adam_update(y, grad, state: AdamState, step_index: int):
+    """One bias-corrected Adam step of size ``ADAM_LEARNING_RATE``; returns the
+    new positions and state."""
     if step_index < 1:
         raise ValueError(f"step_index must be at least 1, got {step_index}")
     mean = ADAM_BETA1 * state.mean + (1.0 - ADAM_BETA1) * grad
     variance = ADAM_BETA2 * state.variance + (1.0 - ADAM_BETA2) * grad * grad
     mean_hat = mean / (1.0 - ADAM_BETA1**step_index)
     variance_hat = variance / (1.0 - ADAM_BETA2**step_index)
-    y_new = y - learning_rate * mean_hat / (np.sqrt(variance_hat) + ADAM_EPS)
+    y_new = y - ADAM_LEARNING_RATE * mean_hat / (np.sqrt(variance_hat) + ADAM_EPS)
     return y_new, AdamState(mean=mean, variance=variance)
 
 
@@ -139,8 +134,7 @@ def init_embedding(labels, centers_low, seed) -> np.ndarray:
     return centers_low[labels] + noise
 
 
-def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_index,
-                  loss=None):
+def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
     """One Adam step of the points toward the high-dimensional memberships.
 
     Shared by the fit and transform loops; returns the new positions, the
@@ -152,20 +146,22 @@ def _descent_step(y, centers_low, sigma, u_high, state, learning_rate, step_inde
     distance is finite, and a step that moves a position beyond it raises ValueError.
     """
     # the (k, n) memberships exp(-dist^2 / (2 sigma^2)), formed in place from
-    # the squared center-to-point distances
+    # the squared center-to-point distances; a product that overflows to -inf
+    # for a bandwidth near the floor is a membership of 0, as it should be
     u_low = euclidean_distance_matrix(centers_low, y, squared=True)
-    u_low *= -0.5 / (sigma * sigma)
+    with np.errstate(over="ignore"):
+        u_low *= -0.5 / (sigma * sigma)
     np.exp(u_low, out=u_low)
     if loss is None:
         loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low, u_high, loss)
     del u_low  # so the Adam step's (n, m) temporaries do not sit beside it
-    # an overflowing step is reported below, by the setting that caused it
+    # an overflowing step is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y, state = adam_update(y, grad, state, learning_rate, step_index)
-    if not np.abs(y).max() < _MAX_POSITION:
-        raise ValueError(f"learning_rate={learning_rate} moved the positions beyond "
-                         f"+-{_MAX_POSITION:g} at step {step_index}; lower it")
+        y, state = adam_update(y, grad, state, step_index)
+    if not np.abs(y).max() <= _MAX_POSITION:
+        raise ValueError(f"the points lie beyond +-{_MAX_POSITION:g} after descent step "
+                         f"{step_index}")
     return y, state, loss
 
 
@@ -223,14 +219,13 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     state = AdamState.zeros(y.shape)
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
-        y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state,
-                                              cfg.learning_rate, it + 1)
+        y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state, it + 1)
         # the loop's own centers are finite, so they skip the public checks
         centers_low = update_centers(y, labels, centers_low)
         centers_low = apply_scaler(centers_low, *fit_scaler(centers_low))
         s_low = mb._sigma_low(centers_low)
 
-    model = CbmapModel(centers_high, centers_low, s_high, s_low, cfg.learning_rate)
+    model = CbmapModel(centers_high, centers_low, s_high, s_low)
     return FitResult(embedding=y, loss_history=history, model=model, labels=labels)
 
 
@@ -250,8 +245,7 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     d = model.centers_high.shape[1]
     if x.shape[1] != d:
         raise ValueError(f"x_new has {x.shape[1]} columns, model expects {d}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    check_count(iters, "iters", 1)
     _check_ranges(model)
     y = np.empty((x.shape[0], model.centers_low.shape[1]))
     for rows in row_blocks(x.shape[0], model.centers_high.shape[0], _TRANSFORM_CHUNKS):
@@ -276,7 +270,7 @@ def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:
         # loss=1 makes loss_gradient the gradient of 1/2 ||U_low - U_high||^2,
         # which has no whole-set factor, so each row descends on its own
         y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
-                                    model.learning_rate, it + 1, loss=1.0)
+                                    it + 1, loss=1.0)
     return y
 
 
@@ -284,15 +278,14 @@ def save_model(model: CbmapModel, path) -> None:
     """Write the model as JSON.
 
     The document is built, and passes every check :func:`load_model` applies
-    to settings, centers, bandwidths and scaler, before the file is opened;
+    to shapes, centers, bandwidths and scaler, before the file is opened;
     a model the reader would reject fails here and leaves an existing file
     untouched.
     Floats are written in shortest round-trip form, so reloading reproduces
     every value bit-for-bit.
     """
     k, d = model.centers_high.shape
-    config = {"learning_rate": _typed(vars(model), "learning_rate", float, "config."),
-              "feature_scaler": None}
+    config = {"feature_scaler": None}
     if model.feature_scaler is not None:
         mean, std = model.feature_scaler
         config["feature_scaler"] = {"mean": list(map(float, mean)), "std": list(map(float, std))}
@@ -329,9 +322,8 @@ def _reshape(values, shape, what):
     return arr.reshape(shape)
 
 
-def _typed(doc, key, kind, where=""):
+def _typed(doc, key, kind):
     """``doc[key]`` as ``kind`` (int or float), or a ValueError naming the field."""
-    name = where + key
     value = doc[key]
     try:
         # bool is an int subclass, and int() and float() would parse strings
@@ -339,14 +331,14 @@ def _typed(doc, key, kind, where=""):
             raise TypeError
         typed = kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"model field {name!r} must be {kind.__name__}: {value!r}") from None
+        raise ValueError(f"model field {key!r} must be {kind.__name__}: {value!r}") from None
     except OverflowError:  # int(inf) and float(10**400)
-        raise ValueError(f"model field {name!r} must be finite: {value!r}") from None
+        raise ValueError(f"model field {key!r} must be finite: {value!r}") from None
     # json reads the NaN and Infinity literals, which pass every range check
     if kind is float and not np.isfinite(typed):
-        raise ValueError(f"model field {name!r} must be finite: {value!r}")
+        raise ValueError(f"model field {key!r} must be finite: {value!r}")
     if kind is int and typed != value:  # int() would truncate a fraction
-        raise ValueError(f"model field {name!r} must be int: {value!r}")
+        raise ValueError(f"model field {key!r} must be int: {value!r}")
     return typed
 
 
@@ -359,8 +351,9 @@ def _object(value, what):
 def load_model(path) -> CbmapModel:
     """Read a model written by :func:`save_model`, validating version, types and shapes.
 
-    Keys the format does not define (such as the fit-only settings and the
-    ``center_pca`` basis older writers stored) are ignored.
+    Keys the format does not define (such as the fit-only settings, the
+    ``center_pca`` basis and the ``config.learning_rate`` older writers
+    stored) are ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -387,7 +380,6 @@ def _model_from_doc(doc) -> CbmapModel:
     shape and range checked; raises ValueError, or KeyError for a missing key."""
     k, d, m = (_typed(doc, key, int) for key in ("k", "d", "m"))
     cfg = _object(doc["config"], "config")
-    learning_rate = _typed(cfg, "learning_rate", float, "config.")
     for key, value, least in (("k", k, 2), ("d", d, 1), ("m", m, 1)):
         if value < least:
             raise ValueError(f"model field {key!r} must be at least {least}, got {value}")
@@ -403,15 +395,12 @@ def _model_from_doc(doc) -> CbmapModel:
     centers_high = _reshape(doc["centers_high"], (k, d), "centers_high")
     centers_low = _reshape(doc["centers_low"], (k, m), "centers_low")
     return _check_ranges(
-        CbmapModel(centers_high, centers_low, sigma_high, sigma_low, learning_rate, scaler))
+        CbmapModel(centers_high, centers_low, sigma_high, sigma_low, scaler))
 
 
 def _check_ranges(model: CbmapModel) -> CbmapModel:
-    """``model``, if its learning rate, bandwidths and ``centers_low`` (where
-    transform starts its points) lie in the ranges the descent relies on."""
-    if model.learning_rate <= 0:
-        raise ValueError(
-            f"model field 'config.learning_rate' must be positive, got {model.learning_rate}")
+    """``model``, if its bandwidths and ``centers_low`` (where transform starts
+    its points) lie in the ranges the descent relies on."""
     if model.sigma_high <= 0 or model.sigma_low <= 0:
         raise ValueError(
             f"bandwidths must be positive, got {model.sigma_high} and {model.sigma_low}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg_core import (
     as_data_matrix,
+    check_count,
     check_seed,
     euclidean_distance_matrix,
     pca_fit,
@@ -315,10 +316,7 @@ def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> flo
         raise ValueError(f"labels length {labels.shape[0]} does not match {y.shape[0]} rows")
     if labels.dtype.kind in "fcO" and np.any(labels != labels):
         raise ValueError("labels contain NaN")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_count(k, "k", 1)
     if y.shape[0] < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, got {y.shape[0]}")
     split = split or HoldoutSpec()

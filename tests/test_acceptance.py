@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cbmap
+from cbmap import embedder
 from cbmap.cli import main
 from cbmap.linalg_core import (
     euclidean_distance_matrix,
@@ -263,8 +264,9 @@ def test_c10_commands_are_reproducible(tmp_path):
            "(timing fields aside)", ok)
 
 
-# (k, learning_rate) settings for C11: k from 10 to 80 and the learning rate
-# from half to twice its default, with the default (20, 0.1) and the two
+# (k, learning_rate) settings for C11: k from 10 to 80 and Adam's learning
+# rate, the constant embedder.ADAM_LEARNING_RATE, from half to twice its
+# value, with the default (20, 0.1) and the two
 # settings where a 2000-row sweep of k in {10, 20, 40, 80} x learning_rate in
 # {0.05, 0.1, 0.2} found the lowest gs, (10, 0.2) and (80, 0.2).
 C11_GRID = ((10, 0.2), (20, 0.1), (40, 0.05), (80, 0.2))
@@ -282,7 +284,7 @@ C11_SPREAD_BOUNDS = {
 
 
 def test_c11_scores_barely_depend_on_k_and_learning_rate(toy_datasets, s_curve_fits,
-                                                          k20_fits):
+                                                          k20_fits, monkeypatch):
     datasets = {name: toy_datasets[name] for name in ("s_curve", "swiss_roll", "sphere")}
     datasets["cuboids"] = cbmap.make_cuboids(250, gap=2.0, seed=0)  # 1000 rows, as the others
     default_fits = {"s_curve": s_curve_fits[1][0], **k20_fits}
@@ -293,8 +295,8 @@ def test_c11_scores_barely_depend_on_k_and_learning_rate(toy_datasets, s_curve_f
             if (k, lr) == (20, 0.1) and name in default_fits:
                 result = default_fits[name]
             else:
-                result = cbmap.fit(ds.data, cbmap.CbmapConfig(n_clusters=k, learning_rate=lr,
-                                                              seed=0))
+                monkeypatch.setattr(embedder, "ADAM_LEARNING_RATE", lr)
+                result = cbmap.fit(ds.data, cbmap.CbmapConfig(n_clusters=k, seed=0))
             gs.append(global_score(ds.data, result.embedding))
             if ds.labels is not None:
                 acc.append(knn_accuracy(result.embedding, ds.labels))

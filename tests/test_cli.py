@@ -285,40 +285,44 @@ class TestFit:
             "warning: n_clusters=2 <= out_dim=2; falling back to random center initialization"]
 
 
-@pytest.mark.filterwarnings("error")
-def test_learning_rate_that_overflows_the_positions_is_a_one_line_error(tmp_path, capsys):
-    curve = cbmap.make_s_curve(50, seed=0)
+@pytest.mark.parametrize("top", [1e150, 9.99e149])
+def test_model_at_the_reader_bounds_transforms_silently(tmp_path, capsys, top):
+    # sigma_low at its floor makes -dist^2 / (2 sigma^2) overflow to -inf, a
+    # membership of 0; centers_low at the reader's bound start the points there
+    curve = cbmap.make_s_curve(300, seed=0)
     table = tmp_path / "s.csv"
     write_csv(table, curve.data, curve.labels)
-    out = tmp_path / "e.csv"
-    message = "error: learning_rate=1e+308 moved the positions beyond +-1e+150 at step 1; lower it"
-    assert main(["fit", str(table), "--k", "5", "--lr", "1e308", "--max-iter", "5",
-                 "--label-col", "label", "-o", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert main(["fit", str(table), "--k", "5", "--max-iter", "5", "--label-col", "label",
-                 "-o", str(out)]) == 0
+    assert main(["fit", str(table), "--k", "5", "--max-iter", "20", "--label-col", "label",
+                 "-o", str(tmp_path / "e.csv")]) == 0
     model_path = tmp_path / "e.model.json"
     doc = json.loads(model_path.read_text())
-    doc["config"]["learning_rate"] = 1e308
+    doc["sigma_low"] = 2.0**-511
+    centers = np.array(doc["centers_low"])
+    doc["centers_low"] = (centers / np.abs(centers).max() * top).tolist()
+    assert np.abs(doc["centers_low"]).max() == top
     model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
     projected = tmp_path / "p.csv"
     assert main(["transform", str(model_path), str(table), "--label-col", "label",
-                 "-o", str(projected)]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not projected.exists()
+                 "-o", str(projected)]) == 0
+    assert capsys.readouterr().err == ""
+    # every membership is 0, so the gradient is too, and no point leaves its center
+    y = load_csv(projected, label_column="label").data
+    nearest = np.argmin(euclidean_distance_matrix(curve.data, cbmap.load_model(model_path)
+                                                  .centers_high), axis=1)
+    assert y.tobytes() == np.array(doc["centers_low"]).reshape(5, 2)[nearest].tobytes()
 
 
 @pytest.mark.parametrize("command", ["fit", "benchmark"])
-@pytest.mark.parametrize("lr", ["nan", "inf"])
-def test_non_finite_learning_rate_is_a_one_line_error(tmp_path, capsys, command, lr):
+def test_learning_rate_flag_is_gone(tmp_path, capsys, command):
     table = tmp_path / "t.csv"
     write_csv(table, np.random.default_rng(0).normal(size=(30, 3)))
     out = tmp_path / "out.csv"
-    argv = [command, str(table), "--lr", lr, "-o", str(out)]
-    code = main(argv + (["--k", "5"] if command == "fit" else ["--k-list", "5"]))
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: learning_rate must be finite and positive, got {lr}"]
+    argv = [command, str(table), "--lr", "0.1", "-o", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--k", "5"] if command == "fit" else ["--k-list", "5"]))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lr 0.1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -387,7 +391,6 @@ class TestTransform:
         ("config", []),
         ("k", None),
         ("sigma_high", None),
-        ("config.learning_rate", None),
         ("config.feature_scaler", 3),
     ])
     def test_mistyped_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys,
@@ -407,9 +410,7 @@ class TestTransform:
         assert len(err) == 1
         assert err[0].startswith("error: ") and f"model field '{field}'" in err[0]
 
-    @pytest.mark.parametrize("field", [
-        "sigma_high", "sigma_low", "config.learning_rate",
-    ])
+    @pytest.mark.parametrize("field", ["sigma_high", "sigma_low"])
     def test_non_finite_model_field_is_a_one_line_error(self, fitted, tmp_path, capsys, field):
         table, _, model_path = fitted
         doc = json.loads(model_path.read_text())
@@ -440,9 +441,6 @@ class TestTransform:
                        id=f"{field}-{raw}")
           for field, raw in (("sigma_low", "1e-200"), ("sigma_low", "1e-160"),
                              ("sigma_low", "1e-155"), ("sigma_high", "1e-200"))),
-        pytest.param("config.learning_rate", "1e400",
-                     "model field 'config.learning_rate' must be finite",
-                     id="learning-rate-1e400"),
         pytest.param("k", "5.7", "model field 'k' must be int", id="k-fraction"),
         pytest.param("centers_high", "[[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]",
                      "model field 'centers_high' must be a flat list", id="nested-centers"),
@@ -597,12 +595,13 @@ class TestNegativeSeed:
         assert err == ["error: --seeds entries must be nonnegative, got '0,-1'"]
         assert not out.exists()
 
-    def test_seed_and_noise_in_an_older_model_file_are_ignored(self, fitted, tmp_path):
-        # older writers stored transform's seed and start noise; values that
-        # their reader rejected no longer matter
+    def test_seed_noise_and_learning_rate_in_an_older_model_file_are_ignored(self, fitted,
+                                                                            tmp_path):
+        # older writers stored transform's seed, start noise and step size;
+        # values that their reader rejected no longer matter
         table, _, model_path = fitted
         doc = json.loads(model_path.read_text())
-        doc["config"].update(seed=-1, init_noise_std=1e200)
+        doc["config"].update(seed=-1, init_noise_std=1e200, learning_rate=-1)
         old = tmp_path / "old.model.json"
         old.write_text(json.dumps(doc))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -785,13 +784,13 @@ class TestManifest:
              {"dataset", "n_per", "gap"}),
             (["fit", str(table), "--k", "4", "--max-iter", "20", "--label-col", "label",
               "-o", str(emb)],
-             {"k", "dim", "max_iter", "lr", "init", "standardize"}),
+             {"k", "dim", "max_iter", "init", "standardize"}),
             (["transform", str(tmp_path / "emb.model.json"), str(table), "--label-col", "3",
               "--iters", "10", "-o", str(tmp_path / "proj.csv")],
              {"model", "iters"}),
             (["benchmark", str(table), "--k-list", "3", "--max-iter", "10",
               "-o", str(tmp_path / "bench.json")],
-             {"k_list", "seeds", "dim", "max_iter", "lr", "init"}),
+             {"k_list", "seeds", "dim", "max_iter", "init"}),
             (["plot", str(emb), "-o", str(tmp_path / "emb.svg")], set()),
         ]
         source = {"input", "label_column", "has_header"}
@@ -808,10 +807,10 @@ class TestManifest:
 SHARED_FLAGS = {
     "generate": ("--out", "--verbose"),
     "fit": ("--out", "--verbose", "--label-col", "--no-header",
-            "--dim", "--max-iter", "--lr", "--init"),
+            "--dim", "--max-iter", "--init"),
     "transform": ("--out", "--verbose", "--label-col", "--no-header"),
     "benchmark": ("--out", "--verbose", "--label-col", "--no-header",
-                  "--dim", "--max-iter", "--lr", "--init"),
+                  "--dim", "--max-iter", "--init"),
     "plot": ("--out", "--verbose", "--label-col", "--no-header"),
 }
 

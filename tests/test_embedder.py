@@ -31,44 +31,44 @@ def blob_fit():
 class TestAdamUpdate:
     def test_zero_gradient_leaves_positions_unchanged(self):
         y = np.array([[1.0, -2.0], [0.5, 3.0]])
-        out, state = em.adam_update(y, np.zeros_like(y), em.AdamState.zeros(y.shape),
-                                    0.1, 1)
+        out, state = em.adam_update(y, np.zeros_like(y), em.AdamState.zeros(y.shape), 1)
         np.testing.assert_array_equal(out, y)
         np.testing.assert_array_equal(state.mean, np.zeros_like(y))
 
     def test_first_step_magnitude_is_learning_rate(self):
         # with bias correction the first step is lr * g / (|g| + eps)
         y = np.array([[1.0]])
-        out, _ = em.adam_update(y, np.array([[2.0]]), em.AdamState.zeros((1, 1)), 0.1, 1)
-        assert out[0, 0] == pytest.approx(0.9, abs=1e-6)
+        out, _ = em.adam_update(y, np.array([[2.0]]), em.AdamState.zeros((1, 1)), 1)
+        assert out[0, 0] == pytest.approx(1.0 - em.ADAM_LEARNING_RATE, abs=1e-6)
 
     def test_first_step_follows_gradient_sign(self):
         y = np.zeros((1, 2))
         grad = np.array([[3.0, -0.01]])
-        out, _ = em.adam_update(y, grad, em.AdamState.zeros((1, 2)), 0.05, 1)
-        np.testing.assert_allclose(out, [[-0.05, 0.05]], atol=1e-6)
+        out, _ = em.adam_update(y, grad, em.AdamState.zeros((1, 2)), 1)
+        lr = em.ADAM_LEARNING_RATE
+        np.testing.assert_allclose(out, [[-lr, lr]], atol=1e-6)
 
     def test_scalar_quadratic_descends(self):
         y = np.array([[1.0]])
         state = em.AdamState.zeros((1, 1))
         seen = [1.0]
         for step in range(1, 11):
-            y, state = em.adam_update(y, 2.0 * y, state, 0.1, step)
+            y, state = em.adam_update(y, 2.0 * y, state, step)
             seen.append(abs(y[0, 0]))
         assert np.all(np.diff(seen) < 0.0)
 
     def test_step_index_validated(self):
         with pytest.raises(ValueError, match="step_index"):
             em.adam_update(np.zeros((1, 1)), np.zeros((1, 1)),
-                           em.AdamState.zeros((1, 1)), 0.1, 0)
+                           em.AdamState.zeros((1, 1)), 0)
 
 
-def _reference_step(y, centers_low, sigma, u_high, state, learning_rate, step_index):
+def _reference_step(y, centers_low, sigma, u_high, state, step_index):
     """The descent step composed from the public routines, distances first."""
     u_low = mb.membership_matrix(euclidean_distance_matrix(y, centers_low), sigma)
     loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low.T, u_high.T, loss)
-    y, state = em.adam_update(y, grad, state, learning_rate, step_index)
+    y, state = em.adam_update(y, grad, state, step_index)
     return y, state, loss
 
 
@@ -86,9 +86,9 @@ class TestDescentStep:
         state = ref_state = em.AdamState.zeros(y.shape)
         losses = []
         for it in range(1, 51):
-            y, state, loss = em._descent_step(y, centers, sigma, u_high_cm, state, 0.1, it)
+            y, state, loss = em._descent_step(y, centers, sigma, u_high_cm, state, it)
             ref, ref_state, ref_loss = _reference_step(ref, centers, sigma, u_high, ref_state,
-                                                       0.1, it)
+                                                       it)
             assert abs(loss - ref_loss) <= 1e-12
             losses.append(loss)
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-10)
@@ -199,17 +199,28 @@ class TestFit:
             with pytest.raises(ValueError, match="squared distances overflow float64"):
                 cbmap.fit(data * 1e160, cfg)
 
-    @pytest.mark.parametrize("lr", [1e160, 1e308])
-    def test_learning_rate_that_overflows_the_positions_is_named(self, blob_fit, lr):
-        data, result = blob_fit
-        message = re.escape(f"learning_rate={lr} moved the positions beyond +-1e+150 at step 1")
+    @pytest.mark.parametrize("start, fails", [
+        (1e150, False), (np.nextafter(1e150, np.inf), True), (-2e150, True),
+    ], ids=["at-the-bound", "just-beyond", "beyond"])
+    def test_step_that_leaves_positions_beyond_the_bound_is_named(self, start, fails):
+        # the bound is the one the model reader puts on centers_low: a point
+        # far out has memberships of 0 and a zero gradient, so it stays put
+        centers = zscore_normalize(np.random.default_rng(3).normal(size=(4, 2)))
+        sigma = mb.sigma_low(centers)
+        y = np.array([[0.5, -0.5], [start, 1.0]])
+        u_high = np.ascontiguousarray(
+            mb.membership_matrix(euclidean_distance_matrix(y[:1], centers), sigma).T)
+        u_high = np.hstack([u_high, np.zeros((4, 1))])
+        state = em.AdamState.zeros(y.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                cbmap.fit(data, cbmap.CbmapConfig(n_clusters=4, learning_rate=lr, max_iter=5,
-                                                  seed=0))
-            with pytest.raises(ValueError, match=message):
-                cbmap.transform(replace(result.model, learning_rate=lr), data[:20])
+            if not fails:
+                out, _, _ = em._descent_step(y, centers, sigma, u_high, state, 1)
+                assert out[1, 0] == start
+                return
+            with pytest.raises(ValueError, match=re.escape(
+                    "the points lie beyond +-1e+150 after descent step 1")):
+                em._descent_step(y, centers, sigma, u_high, state, 1)
 
     def test_memory_holds_about_two_membership_arrays(self):
         # the (k, n) high- and low-dimensional memberships, and beside them
@@ -274,7 +285,6 @@ class TestCbmapConfig:
             {"n_clusters": 1},
             {"n_clusters": 4, "out_dim": 0},
             {"n_clusters": 4, "max_iter": 0},
-            {"n_clusters": 4, "learning_rate": 0.0},
             {"n_clusters": 4, "center_init": "bogus"},
         ],
     )
@@ -282,13 +292,9 @@ class TestCbmapConfig:
         with pytest.raises(ValueError):
             cbmap.CbmapConfig(**kwargs)
 
-    @pytest.mark.parametrize("field, value", [
-        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("seed", -1),
-    ])
-    def test_non_finite_or_negative_setting_is_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            cbmap.CbmapConfig(n_clusters=4, **{field: value})
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=f"^{_NEGATIVE_SEED}$"):
+            cbmap.CbmapConfig(n_clusters=4, seed=-1)
 
 
 _NEGATIVE_SEED = "seed must be nonnegative, got -1"
@@ -311,6 +317,23 @@ _FRACTION = r"test_fraction must lie in \(0, 1\), got "
 def test_negative_seed_or_holdout_fraction_outside_0_1_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: cbmap.CbmapConfig(n_clusters=v), "n_clusters"),
+    (lambda v: cbmap.CbmapConfig(n_clusters=4, out_dim=v), "out_dim"),
+    (lambda v: cbmap.CbmapConfig(n_clusters=4, max_iter=v), "max_iter"),
+    (lambda v: KmeansConfig(k=v), "k"),
+    (lambda v: KmeansConfig(k=2, max_iters=v), "max_iters"),
+    (lambda v: cbmap.transform(_golden_model(), np.zeros((2, 4)), iters=v), "iters"),
+    (lambda v: knn_accuracy(np.zeros((10, 2)), np.arange(10) % 2, k=v), "k"),
+], ids=["n_clusters", "out_dim", "max_iter", "kmeans-k", "max_iters", "iters", "knn-k"])
+def test_count_that_is_not_a_whole_number_is_named(call, name, value):
+    # numpy's own errors for these name no setting, and True would count as 1
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 class TestTransform:
@@ -385,9 +408,8 @@ class TestTransform:
         ("centers_low", 1e200, "model field 'centers_low' has entries beyond +-1e+150"),
         ("sigma_low", 1e-200, "model field 'sigma_low' must be at least 1.492e-154"),
         ("sigma_high", 1e-200, "model field 'sigma_high' must be at least 1.492e-154"),
-        ("learning_rate", -1.0, "model field 'config.learning_rate' must be positive"),
     ], ids=["zero-sigma-low", "negative-sigma-low", "centers-low-1e200", "tiny-sigma-low",
-            "tiny-sigma-high", "negative-learning-rate"])
+            "tiny-sigma-high"])
     def test_model_outside_the_reader_ranges_is_named(self, blob_fit, field, scale, message):
         # transform applies the model reader's range checks to a hand-built model
         data, result = blob_fit
@@ -467,7 +489,6 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.centers_low, result.model.centers_low)
         assert loaded.sigma_high == result.model.sigma_high
         assert loaded.sigma_low == result.model.sigma_low
-        assert loaded.learning_rate == result.model.learning_rate
         assert loaded.feature_scaler is None
 
     def test_file_with_center_pca_basis_still_loads(self, blob_fit, tmp_path):
@@ -542,9 +563,10 @@ GOLDEN = DATA / "golden.model.json"
 # The golden model as written with the whole fit config under "config": the
 # CbmapConfig fields and, under "clustering", those of KmeansConfig, once while
 # KmeansConfig still had mode, batch_size and n_init ("full", 64 and 2); and as
-# written while transform still read init_noise_std and seed (0.25 and 11).
+# written while transform still read init_noise_std and seed (0.25 and 11); and
+# as written while the step size was the setting config.learning_rate (0.05).
 OLD_GOLDENS = [DATA / "full_config.model.json", DATA / "old_clustering_keys.model.json",
-               DATA / "noise_and_seed.model.json"]
+               DATA / "noise_and_seed.model.json", DATA / "learning_rate.model.json"]
 
 
 def _golden_model():
@@ -555,7 +577,7 @@ def _golden_model():
     centers_low = np.array([[-1.224744871391589, 0.5], [0.0, -1.0], [1.224744871391589, 0.5]])
     scaler = (np.array([0.5, -1.0, 2.0, 1e10]), np.array([1.5, 0.0, 0.25, 3.0]))
     return cbmap.CbmapModel(centers_high=centers_high, centers_low=centers_low,
-                            sigma_high=0.7071067811865476, sigma_low=1.25, learning_rate=0.05,
+                            sigma_high=0.7071067811865476, sigma_low=1.25,
                             feature_scaler=scaler)
 
 
@@ -571,7 +593,6 @@ class TestModelFormat:
         np.testing.assert_array_equal(loaded.centers_high, expected.centers_high)
         np.testing.assert_array_equal(loaded.centers_low, expected.centers_low)
         assert (loaded.sigma_high, loaded.sigma_low) == (expected.sigma_high, expected.sigma_low)
-        assert loaded.learning_rate == expected.learning_rate
         for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
             np.testing.assert_array_equal(got, want)
         path = tmp_path / "model.json"
@@ -582,7 +603,6 @@ class TestModelFormat:
     def test_file_with_the_whole_fit_config_loads_transforms_and_saves_new(self, tmp_path, old):
         expected = _golden_model()
         loaded = cbmap.load_model(old)
-        assert loaded.learning_rate == expected.learning_rate
         for got, want in zip(loaded.feature_scaler, expected.feature_scaler):
             np.testing.assert_array_equal(got, want)
         x = np.random.default_rng(0).normal(size=(20, 4)) * [1.0, 1.0, 1.0, 1e10]
@@ -592,11 +612,31 @@ class TestModelFormat:
         cbmap.save_model(loaded, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
-    def test_numpy_number_settings_save_as_plain_numbers(self, tmp_path):
-        plain, numpy = tmp_path / "plain.json", tmp_path / "numpy.json"
-        cbmap.save_model(replace(_golden_model(), learning_rate=0.25), plain)
-        cbmap.save_model(replace(_golden_model(), learning_rate=np.float32(0.25)), numpy)
-        assert numpy.read_bytes() == plain.read_bytes()
+    @pytest.mark.parametrize("value", [1.25, 1, np.float32(1.25), np.int64(1)],
+                             ids=["float", "int", "float32", "int64"])
+    def test_numbers_of_any_type_save_as_plain_floats(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        cbmap.save_model(replace(_golden_model(), sigma_low=value), path)
+        assert f'"sigma_low": {float(value)!r},' in path.read_text()
+        loaded = cbmap.load_model(path)
+        assert loaded.sigma_low == float(value)
+        again = tmp_path / "again.json"
+        cbmap.save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("value", [0.05, -1, "x", True, float("nan")],
+                             ids=["0.05", "negative", "string", "true", "nan"])
+    def test_file_with_any_learning_rate_loads_and_transforms_as_without_it(self, tmp_path,
+                                                                           value):
+        # the step is fixed; the setting older writers stored is ignored
+        doc = json.loads(GOLDEN.read_text())
+        assert "learning_rate" not in doc["config"]
+        doc["config"]["learning_rate"] = value
+        old = tmp_path / "old.model.json"
+        old.write_text(json.dumps(doc))  # a NaN is written as the bare literal
+        x = np.random.default_rng(1).normal(size=(20, 4)) * [1.0, 1.0, 1.0, 1e10]
+        assert (cbmap.transform(cbmap.load_model(old), x, iters=30).tobytes()
+                == cbmap.transform(cbmap.load_model(GOLDEN), x, iters=30).tobytes())
 
     def test_cluster_count_from_a_numpy_sweep_saves_and_loads(self, tmp_path):
         data, _ = two_blobs(40, seed=3)
@@ -607,18 +647,6 @@ class TestModelFormat:
             doc = json.loads(path.read_text())
             assert type(doc["k"]) is int and doc["k"] == k
             assert cbmap.load_model(path).centers_high.shape[0] == k
-
-    @pytest.mark.parametrize("changes, field", [
-        ({"learning_rate": None}, "config.learning_rate"),
-        ({"learning_rate": True}, "config.learning_rate"),
-        ({"learning_rate": "0.05"}, "config.learning_rate"),
-    ])
-    def test_setting_the_reader_rejects_fails_to_save(self, tmp_path, changes, field):
-        path = tmp_path / "model.json"
-        path.write_bytes(GOLDEN.read_bytes())
-        with pytest.raises(ValueError, match=f"model field '{field}'"):
-            cbmap.save_model(replace(_golden_model(), **changes), path)
-        assert path.read_bytes() == GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("changes, message", [
         ({"sigma_low": float("nan")}, "model field 'sigma_low' must be finite"),
@@ -645,11 +673,7 @@ class TestModelFormat:
         (("k",), 1, "model field 'k' must be at least 2, got 1"),
         (("d",), 0, "model field 'd' must be at least 1, got 0"),
         (("m",), 0, "model field 'm' must be at least 1, got 0"),
-        (("config", "learning_rate"), 0.0,
-         "model field 'config.learning_rate' must be positive, got 0.0"),
-        (("config", "learning_rate"), -0.5,
-         "model field 'config.learning_rate' must be positive, got -0.5"),
-    ], ids=["k-1", "d-0", "m-0", "zero-learning-rate", "negative-learning-rate"])
+    ], ids=["k-1", "d-0", "m-0"])
     def test_setting_in_a_file_the_reader_rejects_is_named(self, tmp_path, path, value, message):
         # the ranges CbmapConfig enforces on the settings these fields come from
         doc = json.loads(GOLDEN.read_text())
@@ -662,15 +686,6 @@ class TestModelFormat:
         model_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{message}$"):
             cbmap.load_model(model_path)
-
-    def test_integer_float_settings_are_byte_stable(self, tmp_path):
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
-        cbmap.save_model(replace(_golden_model(), learning_rate=1), first)
-        loaded = cbmap.load_model(first)
-        assert loaded.learning_rate == 1.0
-        cbmap.save_model(loaded, second)
-        assert second.read_bytes() == first.read_bytes()
-        assert '"learning_rate": 1.0,' in first.read_text()
 
 
 def _paths(node, prefix=()):
@@ -703,6 +718,7 @@ class TestModelFileFuzz:
     @example(path=("sigma_high",), action="replace", value=_HUGE)
     @example(path=("centers_low", 0), action="replace", value=_HUGE)
     @example(path=("k",), action="replace", value=5.7)
+    # a key the format no longer defines, as older writers stored it
     @example(path=("config", "learning_rate"), action="replace", value=True)
     @example(path=("centers_high",), action="replace",
              value=np.reshape(_GOLDEN_DOC["centers_high"], (3, 4)).tolist())
@@ -727,7 +743,6 @@ class TestModelFileFuzz:
         k, d = model.centers_high.shape
         assert model.centers_low.ndim == 2 and model.centers_low.shape[0] == k
         assert k >= 2 and d >= 1 and model.centers_low.shape[1] >= 1
-        assert model.learning_rate > 0
         assert np.all(np.isfinite(model.centers_high)) and np.all(np.isfinite(model.centers_low))
         assert model.sigma_high > 0 and model.sigma_low > 0
         assert np.isfinite(model.sigma_high) and np.isfinite(model.sigma_low)

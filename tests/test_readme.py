@@ -15,5 +15,5 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     assert scope["result"].embedding.shape == (1000, 2)
     assert scope["projected"].shape == (200, 2)
     assert 0.0 < scope["gs"] <= 1.0 and 0.0 <= scope["acc"] <= 1.0
-    assert scope["model"].learning_rate == scope["result"].model.learning_rate
+    assert scope["model"].sigma_low == scope["result"].model.sigma_low
     assert (tmp_path / "roll.model.json").exists()
