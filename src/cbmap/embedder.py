@@ -297,8 +297,8 @@ def save_model(model: CbmapModel, path) -> None:
         "m": model.centers_low.shape[1],
         "centers_high": [float(v) for v in model.centers_high.ravel()],
         "centers_low": [float(v) for v in model.centers_low.ravel()],
-        "sigma_high": float(model.sigma_high),
-        "sigma_low": float(model.sigma_low),
+        "sigma_high": _typed(vars(model), "sigma_high", float),
+        "sigma_low": _typed(vars(model), "sigma_low", float),
         "config": config,
     }
     _model_from_doc(doc)
@@ -327,7 +327,7 @@ def _typed(doc, key, kind):
     value = doc[key]
     try:
         # bool is an int subclass, and int() and float() would parse strings
-        if isinstance(value, (bool, str)):
+        if isinstance(value, (bool, np.bool_, str)):
             raise TypeError
         typed = kind(value)
     except (TypeError, ValueError):

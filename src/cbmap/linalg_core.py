@@ -72,6 +72,12 @@ def row_blocks(n: int, row_elems: int, chunks: int = 1):
         yield slice(start, start + step)
 
 
+def max_block_rows(n: int, row_elems: int) -> int:
+    """Rows in the first, and largest, of ``row_blocks(n, row_elems)``: a
+    buffer of this many rows holds any of them."""
+    return len(range(n)[next(row_blocks(n, row_elems), slice(0))])
+
+
 def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
@@ -134,17 +140,39 @@ def fit_scaler(m) -> tuple[np.ndarray, np.ndarray]:
     A column whose entries are all equal gets a standard deviation of exactly
     zero. Computed, it can be rounding residue instead (1.4e-17 for three
     entries of 0.1), and dividing by that would scale the column to +-1.
+
+    The squared deviations are formed a block of rows at a time, and each
+    block is summed below the running sum, so the additions run row by row
+    as in ``m.std(axis=0)``, whose bits they keep for two or more columns.
+    numpy sums a single column pairwise instead, so one column longer than a
+    block can differ from it in the last place.
     """
-    std = m.std(axis=0)
+    n, d = m.shape
+    mean = m.mean(axis=0)
+    # row 0 holds the running sum, the rows below it one block's squared deviations
+    buf = np.empty((max_block_rows(n, d) + 1, d))
+    total = None
+    for rows in row_blocks(n, d):
+        block = m[rows]
+        sq = buf[1:1 + len(block)]
+        np.square(np.subtract(block, mean, out=sq), out=sq)
+        if total is not None:
+            buf[0] = total
+            sq = buf[:1 + len(block)]
+        total = np.add.reduce(sq, axis=0)
+    std = np.sqrt(total / n)
     std[m.max(axis=0) == m.min(axis=0)] = 0.0
-    return m.mean(axis=0), std
+    return mean, std
 
 
 def apply_scaler(m, mean, std) -> np.ndarray:
-    """Column-wise ``(m - mean) / std``; columns whose ``std`` is zero map to all-zeros."""
+    """Column-wise ``(m - mean) / std``; columns whose ``std`` is zero map to all-zeros.
+
+    Written into the output in place, with no temporary of ``m``'s size."""
     out = np.zeros_like(m)
     nz = std > 0.0
-    out[:, nz] = (m[:, nz] - mean[nz]) / std[nz]
+    np.subtract(m, mean, out=out, where=nz)
+    np.divide(out, std, out=out, where=nz)
     return out
 
 

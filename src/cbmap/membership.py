@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, euclidean_distance_matrix, row_blocks
+from .linalg_core import (
+    as_data_matrix,
+    euclidean_distance_matrix,
+    max_block_rows,
+    row_blocks,
+)
 
 # Below this loss the gradient is defined as exactly zero (the analytic
 # expression divides by the loss).
@@ -21,14 +26,16 @@ def sigma_high(distances) -> float:
 
     For each center, take the median of its distances to every point (median
     of an even-length list is the mean of the two central values), then
-    average those medians over the centers.
+    average those medians over the centers. The medians come from one column
+    at a time, so the memory used beyond ``distances`` is one column's copy;
+    they are bit for bit ``np.median(distances, axis=0)``.
     """
     d = as_data_matrix(distances, "distances")
-    if np.any(d < 0):
+    if d.min() < 0:
         raise ValueError("distances must be nonnegative")
-    if not np.any(d > 0):
+    if d.max() == 0:
         raise ValueError("all point-to-center distances are zero; cannot estimate a bandwidth")
-    medians = np.median(d, axis=0)
+    medians = np.array([_median(d[:, j]) for j in range(d.shape[1])])
     return float(medians.mean())
 
 
@@ -36,7 +43,8 @@ def sigma_low(centers) -> float:
     """Bandwidth for the embedded space.
 
     For each center, take the median of its distances to the other k-1
-    centers, then average those medians over the centers.
+    centers (bit for bit ``np.median`` of each row of the off-diagonal
+    distances), then average those medians over the centers.
     """
     c = as_data_matrix(centers, "centers")
     k = c.shape[0]
@@ -51,10 +59,24 @@ def _sigma_low(c) -> float:
     k = c.shape[0]
     d = euclidean_distance_matrix(c, c)
     off_diagonal = d[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    value = float(np.median(off_diagonal, axis=1).mean())
+    value = float(_median(off_diagonal).mean())
     if value <= 0.0:
         raise ValueError("all centers are identical; bandwidth would be zero")
     return value
+
+
+def _median(a) -> np.ndarray:
+    """``np.median(a, axis=-1)`` of a finite float64 array, from one partition.
+
+    Both take the central value, or the two central values ``lo`` and ``hi``
+    of an even count and return ``(lo + hi) / 2.0``, so the bits agree;
+    ``np.median`` itself would import ``numpy.ma`` for its NaN check.
+    """
+    half = a.shape[-1] // 2
+    if a.shape[-1] % 2:
+        return np.partition(a, half, axis=-1)[..., half]
+    part = np.partition(a, (half - 1, half), axis=-1)
+    return (part[..., half - 1] + part[..., half]) / 2.0
 
 
 def membership_matrix(distances, sigma: float) -> np.ndarray:
@@ -82,8 +104,8 @@ def frobenius_loss(u_low, u_high) -> float:
 
     The norm ignores orientation, so the pair may be points x centers or
     centers x points. Squared differences are summed over cache-sized blocks
-    of rows (at least one row each), so no full-size difference matrix is
-    formed.
+    of rows (at least one row each), formed in one buffer that every block
+    reuses, so no full-size difference matrix is formed.
     """
     a = np.asarray(u_low, dtype=np.float64)
     b = np.asarray(u_high, dtype=np.float64)
@@ -92,8 +114,10 @@ def frobenius_loss(u_low, u_high) -> float:
     if a.ndim != 2:
         raise ValueError(f"memberships must be 2-D (points x centers), got shape {a.shape}")
     total = 0.0
+    buf = np.empty(max_block_rows(*a.shape) * a.shape[1])
     for rows in row_blocks(*a.shape):
-        diff = a[rows] - b[rows]
+        block = a[rows]
+        diff = np.subtract(block, b[rows], out=buf[:block.size].reshape(block.shape))
         total += np.einsum("ij,ij->", diff, diff)
     return float(np.sqrt(total))
 
@@ -113,7 +137,8 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     The memberships are centers x points, (k, n), as the descent step holds
     them. Points are taken in cache-sized blocks of columns, which run along
     the points when the memberships are C-contiguous: each block forms its
-    (k, B) weights ``(uL - uH) * uL`` once, and the common factor
+    (k, B) weights ``(uL - uH) * uL`` once, in one buffer that every block
+    reuses, and the common factor
     ``-1 / (loss * sigma**2)`` is applied to the whole gradient at the end.
     """
     y = as_data_matrix(y, "y")
@@ -132,9 +157,11 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     grad = np.empty_like(y)
+    buf = np.empty(max_block_rows(y.shape[0], c.shape[0]) * c.shape[0])
     for pts in row_blocks(y.shape[0], c.shape[0]):
-        w = ul[:, pts] - uh[:, pts]
-        w *= ul[:, pts]
+        block = ul[:, pts]
+        w = np.subtract(block, uh[:, pts], out=buf[:block.size].reshape(block.shape))
+        w *= block
         np.multiply(y[pts], w.sum(axis=0)[:, None], out=grad[pts])
         grad[pts] -= (c.T @ w).T
     grad *= -1.0 / (loss * sigma * sigma)

@@ -865,3 +865,30 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, width):
                             if not path.name.endswith(".manifest.json")}
     assert sorted(outputs["1"]) == ["emb.csv", "emb.loss.csv", "emb.model.json", "proj.csv"]
     assert outputs["1"] == outputs["2"]
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    # np.median imports numpy.ma for its NaN check, about 14 ms and 1 MB
+    script = """
+import sys
+import cbmap
+from cbmap import cli
+
+roll = cbmap.make_swiss_roll(400, seed=0)
+result = cbmap.fit(roll.data[:300], cbmap.CbmapConfig(n_clusters=10, max_iter=10, seed=0))
+cbmap.transform(result.model, roll.data[300:], iters=5)
+cbmap.evaluate(roll.data[:300], result.embedding, roll.labels[:300])
+table = sys.argv[1] + "/roll.csv"
+cbmap.write_csv(table, roll.data, roll.labels)
+for argv in (["fit", table, "--k", "auto", "--label-col", "label", "--standardize",
+              "--max-iter", "10", "-o", sys.argv[1] + "/emb.csv"],
+             ["transform", sys.argv[1] + "/emb.model.json", table, "--label-col", "label",
+              "--iters", "5", "-o", sys.argv[1] + "/proj.csv"]):
+    assert cli.main(argv) == 0
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "proj.csv").exists()

@@ -650,6 +650,12 @@ class TestModelFormat:
 
     @pytest.mark.parametrize("changes, message", [
         ({"sigma_low": float("nan")}, "model field 'sigma_low' must be finite"),
+        # a JSON true, null, list or string is not a number to the reader
+        ({"sigma_low": True}, "model field 'sigma_low' must be float: True"),
+        ({"sigma_low": np.True_}, "model field 'sigma_low' must be float: "),
+        ({"sigma_high": None}, "model field 'sigma_high' must be float: None"),
+        ({"sigma_high": [0.5]}, r"model field 'sigma_high' must be float: \[0.5\]"),
+        ({"sigma_low": "1.25"}, "model field 'sigma_low' must be float: '1.25'"),
         ({"sigma_high": 0.0}, "bandwidths must be positive"),
         # what a fit of input scaled below 1e-154 makes
         ({"sigma_high": 1e-160}, "model field 'sigma_high' must be at least 1.492e-154"),
@@ -659,7 +665,8 @@ class TestModelFormat:
          "model field 'centers_low' has 4 values, expected 6"),
         ({"feature_scaler": (np.zeros(3), np.ones(4))},
          "model field 'feature_scaler.mean' has 3 values, expected 4"),
-    ], ids=["nan-sigma-low", "zero-sigma-high", "tiny-sigma-high", "nan-center",
+    ], ids=["nan-sigma-low", "true-sigma-low", "numpy-true-sigma-low", "none-sigma-high",
+            "list-sigma-high", "string-sigma-low", "zero-sigma-high", "tiny-sigma-high", "nan-center",
             "short-centers-low", "short-scaler"])
     def test_array_or_bandwidth_the_reader_rejects_fails_to_save(self, tmp_path, changes,
                                                                   message):

@@ -1,5 +1,6 @@
 """Tests for the dense-matrix primitives."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,44 @@ class TestZscoreNormalize:
     def test_idempotent(self, m):
         once = lc.zscore_normalize(m)
         np.testing.assert_allclose(lc.zscore_normalize(once), once, atol=1e-10)
+
+    @staticmethod
+    def _whole_matrix_scaling(m):
+        """zscore_normalize's formula on whole-matrix temporaries."""
+        std = m.std(axis=0)
+        std[m.max(axis=0) == m.min(axis=0)] = 0.0
+        nz = std > 0.0
+        out = np.zeros_like(m)
+        out[:, nz] = (m[:, nz] - m.mean(axis=0)[nz]) / std[nz]
+        return out
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 2), (3, 1), (4000, 256),
+                                       (2 * lc._CHUNK_ELEMS // 3 + 5, 3)])
+    def test_blocked_scaling_is_bit_equal_to_the_whole_matrix_formula(self, shape):
+        # the last shape spans three row blocks; a constant column maps to zeros
+        m = np.random.default_rng(9).normal(3.0, 7.0, size=shape)
+        m[:, 0] = 0.1
+        expected = self._whole_matrix_scaling(m)
+        np.testing.assert_array_equal(lc.zscore_normalize(m), expected)
+        mean, std = lc.fit_scaler(m)
+        np.testing.assert_array_equal(mean, m.mean(axis=0))
+        np.testing.assert_array_equal(std[1:], m[:, 1:].std(axis=0))
+
+    def test_one_column_beyond_a_block_agrees_within_a_unit_in_the_last_place(self):
+        # numpy sums one long column pairwise, the blocks row by row
+        m = np.random.default_rng(10).normal(3.0, 7.0, size=(lc._CHUNK_ELEMS + 100, 1))
+        np.testing.assert_allclose(lc.fit_scaler(m)[1], m.std(axis=0), rtol=4e-16, atol=0.0)
+
+    def test_peak_memory_stays_near_the_output(self):
+        # m.std(axis=0) and the column-selected copies held 3x the input beside it
+        m = np.random.default_rng(11).normal(size=(4000, 256))
+        tracemalloc.start()
+        try:
+            lc.zscore_normalize(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.nbytes
 
 
 def _whole_matrix_components(x, m):

@@ -1,5 +1,7 @@
 """Tests for the membership math: bandwidths, kernels, loss, gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,61 @@ def _unblocked_loss_and_gradient(y, c, sigma, u_low, u_high):
 def _rows_over_blocks(k):
     """Row count for (n, k) memberships: two full row blocks and a partial one."""
     return 2 * max(1, lc._CHUNK_ELEMS // k) + 3
+
+
+def _median_cases():
+    """Arrays of odd and even lengths, with ties, of length 1 and 2, and at
+    magnitudes of 1e-150 and 1e150, keyed by name."""
+    rng = np.random.default_rng(20)
+    cases = {}
+    for scale in (1.0, 1e-150, 1e150):
+        for n in (1, 2, 3, 4, 7, 10, 999, 1000):
+            cases[f"uniform-{n}-{scale:g}"] = scale * rng.uniform(0.1, 5.0, size=(n, 6))
+            # a handful of values, so the central ones tie
+            cases[f"ties-{n}-{scale:g}"] = scale * rng.integers(1, 4, size=(n, 6)).astype(float)
+    return cases
+
+
+_MEDIAN_CASES = _median_cases()
+
+
+class TestMedian:
+    """The bandwidths take their medians from ``np.partition``; each keeps
+    ``np.median``'s bits."""
+
+    @pytest.mark.parametrize("name", _MEDIAN_CASES)
+    def test_helper_is_bit_equal_to_numpy_median(self, name):
+        a = _MEDIAN_CASES[name]
+        for values in (a, a.T, a[:, 0]):
+            np.testing.assert_array_equal(mb._median(values), np.median(values, axis=-1))
+
+    @pytest.mark.parametrize("name", _MEDIAN_CASES)
+    def test_sigma_high_is_bit_equal_to_numpy_median(self, name):
+        d = _MEDIAN_CASES[name]
+        assert mb.sigma_high(d) == float(np.median(d, axis=0).mean())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 21, 40])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_sigma_low_is_bit_equal_to_numpy_median(self, k, scale):
+        rng = np.random.default_rng(k)
+        # grid centers tie; the far first one keeps them from all coinciding
+        grid = rng.integers(0, 3, size=(k, 2)).astype(float)
+        grid[0] = 7.0
+        for centers in (scale * rng.normal(size=(k, 2)), scale * grid):
+            d = lc.euclidean_distance_matrix(centers, centers)
+            off_diagonal = d[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+            assert mb.sigma_low(centers) == float(np.median(off_diagonal, axis=1).mean())
+
+    def test_sigma_high_holds_one_column_beyond_its_input(self):
+        # np.median(d, axis=0) copied all of d
+        d = np.random.default_rng(21).uniform(0.0, 5.0, size=(20_000, 40))
+        tracemalloc.start()
+        try:
+            mb.sigma_high(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.nbytes / 4
 
 
 class TestSigmaHigh:
@@ -372,3 +429,43 @@ class TestLossGradient:
         np.testing.assert_array_equal(
             mb.loss_gradient(y, c, 1.0, u, rng.uniform(size=(5, n)), mb.GRADIENT_LOSS_FLOOR),
             np.zeros_like(y))
+
+
+class TestBlockMemory:
+    """The loss and the gradient form every block in one reused buffer."""
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    @pytest.mark.parametrize("k", [5, 40])
+    def test_loss_holds_one_block(self, k):
+        rng = np.random.default_rng(61 + k)
+        n = _rows_over_blocks(k)
+        u_low = rng.uniform(size=(k, n))
+        u_high = rng.uniform(size=(k, n))
+        _, peak = self._peak(mb.frobenius_loss, u_low, u_high)
+        # the old loop's second block alone was a full one
+        assert peak < 1.25 * lc._CHUNK_ELEMS * 8
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_gradient_holds_one_block_beyond_its_output(self, k):
+        rng = np.random.default_rng(65 + k)
+        n = _rows_over_blocks(k)
+        y = rng.normal(size=(n, 2))
+        c = rng.normal(size=(k, 2))
+        u_low = np.ascontiguousarray(
+            mb.membership_matrix(lc.euclidean_distance_matrix(y, c), 0.8).T)
+        u_high = rng.uniform(size=(k, n))
+        grad, peak = self._peak(mb.loss_gradient, y, c, 0.8, u_low, u_high, 1.0)
+        # beside the block, numpy buffers the two strided (k, B) membership
+        # slices a ufunc reads, getbufsize() values each; the old loop's
+        # second block alone was a full one
+        ufunc_buffers = 2 * np.getbufsize() * 8
+        assert peak < grad.nbytes + lc._CHUNK_ELEMS * 8 + ufunc_buffers + 32_768
