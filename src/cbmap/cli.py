@@ -12,23 +12,34 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import warnings
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import (
+    _write_rows,
     load_csv,
+    load_csv_blocks,
     make_cuboids,
     make_s_curve,
     make_severed_sphere,
     make_swiss_roll,
     write_csv,
 )
-from .embedder import CbmapConfig, fit, load_model, save_model, transform
+from .embedder import (
+    CbmapConfig,
+    fit,
+    load_model,
+    save_model,
+    transform,
+    transform_block_rows,
+)
 from .linalg_core import apply_scaler, as_data_matrix, fit_scaler
 from .metrics import evaluate
 
@@ -82,11 +93,12 @@ def _parse_int_list(text, what):
     return values
 
 
-def _read_input(args, default_label=None):
-    """Load ``args.input`` as --label-col and --no-header ask.
+def _input_args(args, default_label=None):
+    """``load_csv``'s keyword arguments for ``args.input`` as --label-col and
+    --no-header ask, and the manifest's input fields.
 
     An integer --label-col is a 0-based column index, anything else a column
-    name. Returns the dataset and the manifest's input fields.
+    name.
     """
     label = args.label_col
     if label is None:
@@ -96,9 +108,15 @@ def _read_input(args, default_label=None):
             label = int(label)
         except ValueError:
             pass
-    ds = load_csv(args.input, has_header=not args.no_header, label_column=label)
-    return ds, {"input": str(args.input), "label_column": args.label_col,
-                "has_header": not args.no_header}
+    return ({"has_header": not args.no_header, "label_column": label},
+            {"input": str(args.input), "label_column": args.label_col,
+             "has_header": not args.no_header})
+
+
+def _read_input(args, default_label=None):
+    """Load ``args.input``; returns the dataset and the manifest's input fields."""
+    kwargs, source = _input_args(args, default_label)
+    return load_csv(args.input, **kwargs), source
 
 
 def _config(args, k, seed) -> CbmapConfig:
@@ -106,11 +124,23 @@ def _config(args, k, seed) -> CbmapConfig:
                        center_init=args.init, seed=seed)
 
 
-def _write_embedding(out, y, labels) -> None:
-    header = [f"e{i}" for i in range(y.shape[1])]
-    if labels is not None:
-        header.append("label")
-    write_csv(out, y, labels, header=header)
+def _embedding_header(dim, labeled) -> list:
+    return [f"e{i}" for i in range(dim)] + (["label"] if labeled else [])
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A text file open for writing beside ``path`` that replaces ``path``
+    when the block ends, or is removed if the block raises; either way an
+    incomplete output never takes the place of ``path``."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def render_scatter_svg(points, labels=None) -> str:
@@ -196,7 +226,8 @@ def cmd_fit(args):
     model_path = out.with_suffix(".model.json")
     # save_model checks the model before it writes, so a model it rejects leaves no output
     save_model(replace(result.model, feature_scaler=scaler), model_path)
-    _write_embedding(out, result.embedding, ds.labels)
+    write_csv(out, result.embedding, ds.labels,
+              header=_embedding_header(args.dim, ds.labels is not None))
     loss_path = out.with_suffix(".loss.csv")
     with open(loss_path, "w", encoding="utf-8") as fh:
         fh.write("iteration,loss\n")
@@ -212,12 +243,22 @@ def cmd_fit(args):
 
 def cmd_transform(args):
     model = load_model(args.model)
-    ds, source = _read_input(args)
-    y = transform(model, ds.data, iters=args.iters)
+    kwargs, source = _input_args(args)
     out = Path(args.out)
-    _write_embedding(out, y, ds.labels)
+    # blocks of transform's own size keep every row's bits as in one whole-file call
+    blocks = load_csv_blocks(args.input, transform_block_rows(model), **kwargs)
+    written = 0
+    with closing(blocks), _replacing(out) as fh:
+        header = _embedding_header(model.centers_low.shape[1], kwargs["label_column"] is not None)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            y = transform(model, block.data, iters=args.iters)
+            _write_rows(fh, y, None if block.labels is None else block.labels.tolist())
+            written += y.shape[0]
+            if args.verbose:
+                print(f"transform: {written} rows written", file=sys.stderr)
     if args.verbose:
-        print(f"transform: embedded {y.shape[0]} rows to {out}", file=sys.stderr)
+        print(f"transform: embedded {written} rows to {out}", file=sys.stderr)
     return {**source, "model": str(args.model), "iters": args.iters}, [out]
 
 

@@ -150,9 +150,23 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
     read, so a file with several faults is reported by the first one met
     reading from the top.
     """
+    (dataset,) = load_csv_blocks(path, None, has_header, label_column)
+    return dataset
+
+
+def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None):
+    """:func:`load_csv` a block of rows at a time.
+
+    Yields datasets of ``block_rows`` rows each, the last one possibly
+    shorter; ``None`` yields every row in one block. Label codes keep their
+    first-seen order across blocks. A malformed row raises its ValueError
+    when the reader reaches it, after the blocks before it were yielded;
+    a file without data rows raises before the first block.
+    """
     path = Path(path)
     header = None
     width = label_idx = None
+    rows = 0
     values = array("d")  # the features, row after row
     codes = array("q")
     seen: dict[str, int] = {}
@@ -179,6 +193,11 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
                     values.extend(map(float, row))
                 except ValueError:
                     raise _not_numeric(path, lineno, row, label_idx) from None
+                rows += 1
+                if rows == block_rows:
+                    yield _dataset(path, values, codes, width, label_idx)
+                    # the block yielded shares these buffers, so fresh ones follow
+                    rows, values, codes = 0, array("d"), array("q")
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
@@ -186,7 +205,12 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
     if width is None:
         raise ValueError(f"{path}: file has a header but no data rows" if header is not None
                          else f"{path}: file is empty")
-    # the arrays share the buffers they were read into
+    if rows:
+        yield _dataset(path, values, codes, width, label_idx)
+
+
+def _dataset(path, values, codes, width, label_idx) -> LabeledDataset:
+    """The rows read into ``values`` and ``codes``, as arrays that share their buffers."""
     n_features = width if label_idx is None else width - 1
     data = np.frombuffer(values, dtype=np.float64).reshape(-1, n_features)
     labels = None if label_idx is None else np.frombuffer(codes, dtype=np.int64)
@@ -266,12 +290,18 @@ def write_csv(path, data, labels=None, header=None) -> None:
         raise ValueError(f"header has {len(header)} names, expected {expected}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, data.shape[0], _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            lines = [",".join(map(repr, row)) for row in data[rows].tolist()]
-            if labels is not None:
-                lines = [f"{line},{label}" for line, label in zip(lines, labels[rows])]
-            fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, data, labels)
+
+
+def _write_rows(fh, data, labels=None) -> None:
+    """Append the rows of a checked float64 matrix to the open file ``fh``,
+    each followed by its label from the list of ints ``labels``, if given."""
+    for start in range(0, data.shape[0], _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        lines = [",".join(map(repr, row)) for row in data[rows].tolist()]
+        if labels is not None:
+            lines = [f"{line},{label}" for line, label in zip(lines, labels[rows])]
+        fh.write("\n".join(lines) + "\n")
 
 
 def _whole_labels(values) -> list[int]:

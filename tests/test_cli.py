@@ -15,6 +15,7 @@ import cbmap
 from cbmap.cli import main, render_scatter_svg
 from cbmap.clustering import assign_labels
 from cbmap.datasets import load_csv, write_csv
+from cbmap.embedder import transform_block_rows
 from cbmap.linalg_core import euclidean_distance_matrix
 from cbmap.metrics import knn_accuracy
 from _util import two_blobs
@@ -326,6 +327,20 @@ def test_learning_rate_flag_is_gone(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _write_table(path, data, labels, label_at, header):
+    """Write ``data`` as CSV with the string ``labels`` as column ``label_at``
+    (None: no label column), under a header row if ``header``."""
+    names = [f"x{i}" for i in range(data.shape[1])]
+    rows = [list(map(repr, row)) for row in data.tolist()]
+    if label_at is not None:
+        names.insert(label_at, "label")
+        for row, label in zip(rows, labels):
+            row.insert(label_at, label)
+    lines = ([",".join(names)] if header else []) + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
     work = tmp_path_factory.mktemp("fitted")
@@ -508,6 +523,109 @@ class TestTransform:
         # descending all 20,000 rows at once, after reading every row's cells
         # into lists and before writing the output as one string, took 20 MB
         assert peak < 6e6
+
+    # label column: where it sits among the features, load_csv's label_column
+    # (and --label-col's text) and whether the file has a header
+    LAYOUTS = {
+        "by-name": (3, "label", True),
+        "by-index": (1, 1, True),
+        "no-header": (0, 0, False),
+        "unlabeled": (None, None, False),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+3"])
+    def test_streamed_output_is_the_library_result(self, roll_k40, tmp_path, layout, extra):
+        model_path, _ = roll_k40
+        model = cbmap.load_model(model_path)
+        block = transform_block_rows(model)
+        n = 2 * block + 3 if extra == "2B+3" else block + extra
+        label_at, label_col, header = self.LAYOUTS[layout]
+        # label names first seen in later blocks must keep the codes that one
+        # pass over the whole file gives them
+        names = [("z", "y", "x", "w", "v")[i * 5 // (2 * block + 3)] for i in range(n)]
+        table = _write_table(tmp_path / "new.csv", cbmap.make_swiss_roll(n, seed=4).data,
+                             names, label_at, header)
+        flags = ([] if label_col is None else ["--label-col", str(label_col)]) + (
+            [] if header else ["--no-header"])
+        out = tmp_path / "proj.csv"
+        assert main(["transform", str(model_path), str(table), *flags, "--iters", "3",
+                     "-o", str(out)]) == 0
+        ds = load_csv(table, has_header=header, label_column=label_col)
+        if layout != "unlabeled" and extra == "2B+3":
+            assert ds.labels.max() == 4
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, cbmap.transform(model, ds.data, iters=3), ds.labels,
+                  header=["e0", "e1"] + ([] if ds.labels is None else ["label"]))
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("oops", "column 2: not numeric: 'oops'"),
+        ("1.0,2.0", "expected 4 fields, got 2"),
+    ], ids=["not-numeric", "ragged"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-output", "existing-output"])
+    def test_bad_row_in_a_late_block_leaves_no_output(self, roll_k40, tmp_path, capsys, fault,
+                                                      message, existing):
+        model_path, _ = roll_k40
+        block = transform_block_rows(cbmap.load_model(model_path))
+        roll = cbmap.make_swiss_roll(2 * block + 3, seed=4)
+        table = tmp_path / "new.csv"
+        write_csv(table, roll.data, roll.labels)
+        lines = table.read_text().splitlines()
+        bad_line = block + 8  # 1-based, in the second block of rows
+        label = lines[bad_line - 1].rsplit(",", 1)[1]
+        lines[bad_line - 1] = ("0.5,oops,0.5," + label) if fault == "oops" else fault
+        table.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "proj.csv"
+        if existing:
+            out.write_text("an earlier output\n")
+        code = main(["transform", str(model_path), str(table), "--label-col", "label",
+                     "--iters", "2", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {table}: line {bad_line}" + ("," if fault == "oops" else ":") +
+            f" {message}"]
+        # neither the output, a temporary file nor a manifest is left
+        assert [p.name for p in out_dir.iterdir()] == (["proj.csv"] if existing else [])
+        if existing:
+            assert out.read_text() == "an earlier output\n"
+
+    def test_verbose_prints_the_rows_written_after_each_block(self, roll_k40, tmp_path, capsys):
+        model_path, _ = roll_k40
+        block = transform_block_rows(cbmap.load_model(model_path))
+        roll = cbmap.make_swiss_roll(2 * block + 3, seed=4)
+        table = tmp_path / "new.csv"
+        write_csv(table, roll.data, roll.labels)
+        out = tmp_path / "proj.csv"
+        assert main(["transform", str(model_path), str(table), "--label-col", "label",
+                     "--iters", "2", "-v", "-o", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            *(f"transform: {rows} rows written" for rows in (block, 2 * block, 2 * block + 3)),
+            f"transform: embedded {2 * block + 3} rows to {out}"]
+
+    def test_memory_does_not_grow_with_the_row_count(self, roll_k40, tmp_path):
+        model_path, table = roll_k40
+
+        def peak(rows):
+            if rows:
+                roll = cbmap.make_swiss_roll(rows, seed=6)
+                write_csv(tmp_path / "big.csv", roll.data, roll.labels)
+            tracemalloc.start()
+            try:
+                code = main(["transform", str(model_path),
+                             str(tmp_path / "big.csv" if rows else table), "--label-col",
+                             "label", "--iters", "1", "-o", str(tmp_path / "proj.csv")])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert code == 0
+
+        peak(None)  # a first run holds one-off allocations, such as caches
+        small, large = peak(8_000), peak(128_000)
+        # the whole-file parent read 2.8 MB at 8,000 rows and 8.6 MB at 128,000
+        assert abs(large / small - 1.0) <= 0.05
 
     def test_bandwidth_near_the_floor_embeds_without_a_warning(self, fitted, tmp_path, capsys):
         # every membership of a far point underflows to zero; the overflow on

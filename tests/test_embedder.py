@@ -57,6 +57,24 @@ class TestAdamUpdate:
             seen.append(abs(y[0, 0]))
         assert np.all(np.diff(seen) < 0.0)
 
+    def test_matches_the_textbook_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        y, grad = rng.normal(size=(2, 500, 2))
+        state = em.AdamState(rng.normal(size=(500, 2)), rng.uniform(size=(500, 2)))
+        before = (state.mean.copy(), state.variance.copy())
+        b1, b2 = em.ADAM_BETA1, em.ADAM_BETA2
+        for t in (1, 2, 50, 1000):
+            out, new = em.adam_update(y, grad, state, t)
+            mean = b1 * state.mean + (1.0 - b1) * grad
+            variance = b2 * state.variance + (1.0 - b2) * grad * grad
+            expected = y - em.ADAM_LEARNING_RATE * (mean / (1.0 - b1**t)) / (
+                np.sqrt(variance / (1.0 - b2**t)) + em.ADAM_EPS)
+            for got, want in ((out, expected), (new.mean, mean), (new.variance, variance)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the state passed in is left as it was
+        np.testing.assert_array_equal(state.mean, before[0])
+        np.testing.assert_array_equal(state.variance, before[1])
+
     def test_step_index_validated(self):
         with pytest.raises(ValueError, match="step_index"):
             em.adam_update(np.zeros((1, 1)), np.zeros((1, 1)),
@@ -385,7 +403,7 @@ class TestTransform:
                                                               seed=0)).model
         x = roll.data[2000:]
         blocks = list(row_blocks(len(x), 40, em._TRANSFORM_CHUNKS))
-        assert len(blocks) == 3
+        assert len(blocks) == 4
         whole = cbmap.transform(model, x, iters=20)
         # the rows on either side of each block boundary, and a sample of the rest
         edges = [b.start + i for b in blocks[1:] for i in (-2, -1, 0, 1)]
