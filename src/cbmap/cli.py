@@ -120,8 +120,7 @@ def _read_input(args, default_label=None):
 
 
 def _config(args, k, seed) -> CbmapConfig:
-    return CbmapConfig(n_clusters=k, out_dim=args.dim, max_iter=args.max_iter,
-                       center_init=args.init, seed=seed)
+    return CbmapConfig(n_clusters=k, out_dim=args.dim, max_iter=args.max_iter, seed=seed)
 
 
 def _embedding_header(dim, labeled) -> list:
@@ -236,7 +235,7 @@ def cmd_fit(args):
     if args.verbose:
         print(f"fit: k={k}, loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, "
               f"wrote {out}", file=sys.stderr)
-    config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter, "init": args.init,
+    config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter,
               "standardize": args.standardize}
     return config, [out, model_path, loss_path]
 
@@ -285,7 +284,7 @@ def cmd_benchmark(args):
         json.dump(entries, fh, indent=2)
         fh.write("\n")
     config = {**source, "k_list": args.k_list, "seeds": args.seeds, "dim": args.dim,
-              "max_iter": args.max_iter, "init": args.init}
+              "max_iter": args.max_iter}
     return config, [out]
 
 
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     descent = argparse.ArgumentParser(add_help=False)
     descent.add_argument("--dim", type=int, default=2, help="embedding dimension")
     descent.add_argument("--max-iter", type=int, default=500)
-    descent.add_argument("--init", choices=("pca", "random"), default="pca")
 
     p = sub.add_parser("generate", parents=[output], help="write a toy dataset as CSV")
     p.add_argument("dataset", choices=DATASET_NAMES)

@@ -14,7 +14,6 @@ import numpy as np
 from .linalg_core import (
     as_data_matrix,
     check_count,
-    check_seed,
     euclidean_distance_matrix,
     row_blocks,
 )
@@ -44,7 +43,7 @@ class KmeansConfig:
     def __post_init__(self):
         check_count(self.k, "k", 1)
         check_count(self.max_iters, "max_iters", 1)
-        check_seed(self.seed)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ inter-cluster gap can be swept.
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, check_seed
+from .linalg_core import as_data_matrix, check_count
 
 # Severed-sphere cut: drop the polar cap above this colatitude boundary and
 # the longitudinal wedge beyond this fraction of a full turn.
@@ -48,11 +49,10 @@ def make_s_curve(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDatase
     (sin t, 2*uniform, sign(t)*(cos t - 1)) with optional additive Gaussian
     noise on all coordinates. Labels quantize t into 4 equal-width bins.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_count(n, "n", 1)
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     x = np.sin(t)
@@ -71,11 +71,10 @@ def make_swiss_roll(n: int, noise_std: float = 0.0, seed: int = 0) -> LabeledDat
     t*sin t) with optional additive Gaussian noise. Labels quantize t into 4
     equal-width bins.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_count(n, "n", 1)
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.uniform(0.0, 1.0, size=n))
     x = t * np.cos(t)
@@ -94,9 +93,8 @@ def make_severed_sphere(n: int, seed: int = 0) -> LabeledDataset:
     polar cap (colatitude < pi/8) and the longitudinal wedge (longitude >
     0.94 * 2*pi) are discarded, so fewer than ``n`` points survive.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    check_seed(seed)
+    check_count(n, "n", 1)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     longitude = rng.uniform(0.0, 2.0 * np.pi, size=n)
     colatitude = rng.uniform(0.0, np.pi, size=n)
@@ -124,11 +122,10 @@ def make_cuboids(n_per_cluster: int = 1000, gap: float = 2.0, seed: int = 0) -> 
     ``gap`` apart along both grid axes. Points fill each cuboid uniformly;
     labels 0..3 mark the cuboid, ordered row-major over the grid.
     """
-    if n_per_cluster < 1:
-        raise ValueError(f"n_per_cluster must be at least 1, got {n_per_cluster}")
+    check_count(n_per_cluster, "n_per_cluster", 1)
     if not 0 <= gap < np.inf:
         raise ValueError(f"gap must be finite and nonnegative, got {gap}")
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     blocks = []
     for label in range(4):
@@ -145,10 +142,10 @@ def load_csv(path, has_header: bool = True, label_column=None) -> LabeledDataset
 
     ``label_column`` may be a column name (requires a header) or a 0-based
     index. Label values are treated as categorical strings and encoded as
-    integers in first-seen order. Malformed input raises ValueError with the
-    offending line and column (both 1-based); rows are parsed as they are
-    read, so a file with several faults is reported by the first one met
-    reading from the top.
+    integers in first-seen order. Malformed input, such as a feature cell
+    that is not a number or that reads as NaN or infinite, raises ValueError
+    with the offending line and column (both 1-based); a file with several
+    faults is reported by the first one from the top.
     """
     (dataset,) = load_csv_blocks(path, None, has_header, label_column)
     return dataset
@@ -160,8 +157,9 @@ def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None
     Yields datasets of ``block_rows`` rows each, the last one possibly
     shorter; ``None`` yields every row in one block. Label codes keep their
     first-seen order across blocks. A malformed row raises its ValueError
-    when the reader reaches it, after the blocks before it were yielded;
-    a file without data rows raises before the first block.
+    when the reader reaches it, and a non-finite cell when the reader ends
+    its block, after the blocks before it were yielded; a file without data
+    rows raises before the first block.
     """
     path = Path(path)
     header = None
@@ -170,6 +168,7 @@ def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None
     values = array("d")  # the features, row after row
     codes = array("q")
     seen: dict[str, int] = {}
+    fault = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -192,16 +191,29 @@ def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None
                 try:
                     values.extend(map(float, row))
                 except ValueError:
-                    raise _not_numeric(path, lineno, row, label_idx) from None
+                    raise _bad_cell(path, lineno, row, label_idx) from None
                 rows += 1
                 if rows == block_rows:
+                    if not np.isfinite(np.frombuffer(values)).all():
+                        break  # named below
                     yield _dataset(path, values, codes, width, label_idx)
                     # the block yielded shares these buffers, so fresh ones follow
                     rows, values, codes = 0, array("d"), array("q")
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            fault = ValueError(f"{path}: line {reader.line_num}: {exc}")
         except UnicodeDecodeError:
-            raise ValueError(f"{path}: {_utf8_error(path)}") from None
+            fault = ValueError(f"{path}: {_utf8_error(path)}")
+        except ValueError as exc:
+            fault = exc
+    # float() reads NaN and infinity, which lie above any fault met after them;
+    # the blocks are checked whole, and reading a row at a time names the line
+    if not np.isfinite(np.frombuffer(values)).all():
+        if block_rows == 1:
+            raise _bad_cell(path, lineno, row, label_idx)
+        for _ in load_csv_blocks(path, 1, has_header, label_column):
+            pass
+    if fault is not None:
+        raise fault
     if width is None:
         raise ValueError(f"{path}: file has a header but no data rows" if header is not None
                          else f"{path}: file is empty")
@@ -237,17 +249,19 @@ def _label_index(path, label_column, header, width):
     return label_idx
 
 
-def _not_numeric(path, lineno, features, label_idx) -> ValueError:
+def _bad_cell(path, lineno, features, label_idx) -> ValueError:
     """The error naming the first of a row's ``features`` (its cells without
-    the label at ``label_idx``) that float() rejects."""
+    the label at ``label_idx``) that float() rejects or reads as NaN or infinite."""
     for col, cell in enumerate(features):
         try:
-            float(cell)
+            problem = None if math.isfinite(float(cell)) else "not finite"
         except ValueError:
+            problem = "not numeric"
+        if problem is not None:
             if label_idx is not None and col >= label_idx:
                 col += 1
             return ValueError(f"{path}: line {lineno}, column {col + 1}: "
-                              f"not numeric: {cell.strip()!r}")
+                              f"{problem}: {cell.strip()!r}")
 
 
 def _utf8_error(path) -> str:

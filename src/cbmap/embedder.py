@@ -24,7 +24,6 @@ from .linalg_core import (
     as_data_matrix,
     block_rows,
     check_count,
-    check_seed,
     euclidean_distance_matrix,
     fit_scaler,
     pca_fit,
@@ -39,7 +38,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_LEARNING_RATE = 0.1  # the step size of every fit and transform
 
-_CENTER_INITS = ("pca", "random")
 # positions this far out keep every square below 1e301, so the distances and
 # the centers' variance stay finite for up to 1e7 dimensions or clusters
 _MAX_POSITION = 1e150
@@ -66,15 +64,12 @@ class CbmapConfig:
     """Embedding parameters.
 
     ``clustering`` defaults to a KmeansConfig built from ``n_clusters`` and
-    ``seed`` at fit time. ``center_init`` chooses how low-dimensional centers
-    start: a PCA projection of the high-dimensional centers, or a seeded
-    Gaussian draw; both are z-scored before use.
+    ``seed`` at fit time.
     """
 
     n_clusters: int
     out_dim: int = 2
     max_iter: int = 500
-    center_init: str = "pca"
     clustering: KmeansConfig | None = None
     seed: int = 0
 
@@ -82,9 +77,7 @@ class CbmapConfig:
         check_count(self.n_clusters, "n_clusters", 2)
         check_count(self.out_dim, "out_dim", 1)
         check_count(self.max_iter, "max_iter", 1)
-        if self.center_init not in _CENTER_INITS:
-            raise ValueError(f"center_init must be one of {_CENTER_INITS}, got {self.center_init!r}")
-        check_seed(self.seed)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -187,12 +180,14 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     """Embed ``x`` into ``cfg.out_dim`` dimensions.
 
     Steps: cluster, estimate the high-dimensional bandwidth and membership
-    matrix once, initialize low-dimensional centers (PCA of the
-    high-dimensional centers, or random) and point positions, then iterate:
-    recompute the low-dimensional membership matrix, take an Adam step on the
-    point positions along the loss gradient, recompute centers from the
-    original cluster labels, z-score them, and refresh the low bandwidth.
-    The Adam state is carried across iterations, not reset.
+    matrix once, start the low-dimensional centers at the z-scored PCA
+    projection of the high-dimensional ones (or, when ``n_clusters <= out_dim``
+    leaves too few to span it, at a z-scored seeded Gaussian draw, with a
+    warning) and the points around them, then iterate: recompute the
+    low-dimensional membership matrix, take an Adam step on the point
+    positions along the loss gradient, recompute centers from the original
+    cluster labels, z-score them, and refresh the low bandwidth. The Adam
+    state is carried across iterations, not reset.
     """
     x = as_data_matrix(x, "x")
     n, d = x.shape
@@ -219,17 +214,13 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
 
     # Independent streams for the center draw and the point-noise draw.
     seed_centers, seed_points = np.random.SeedSequence(cfg.seed).spawn(2)
-    if cfg.center_init == "pca" and cfg.n_clusters > cfg.out_dim:
+    if cfg.n_clusters > cfg.out_dim:
         centers_low = pca_transform(pca_fit(centers_high, cfg.out_dim), centers_high)
     else:
-        if cfg.center_init == "pca":
-            warnings.warn(
-                f"n_clusters={cfg.n_clusters} <= out_dim={cfg.out_dim}; "
-                "falling back to random center initialization"
-            )
+        warnings.warn(f"n_clusters={cfg.n_clusters} <= out_dim={cfg.out_dim}; "
+                      "falling back to random center initialization")
         centers_low = np.random.default_rng(seed_centers).standard_normal(
-            (cfg.n_clusters, cfg.out_dim)
-        )
+            (cfg.n_clusters, cfg.out_dim))
     centers_low = zscore_normalize(centers_low)
     s_low = mb.sigma_low(centers_low)
 
@@ -386,6 +377,8 @@ def load_model(path) -> CbmapModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:  # arrays or objects nested deeper than the decoder recurses
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
     except UnicodeDecodeError:
         raise ValueError(f"{path}: {_utf8_error(path)}") from None
     if not isinstance(doc, dict):

@@ -34,18 +34,12 @@ def as_data_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def check_count(value, name, least) -> None:
-    """Reject a count that is not a whole number of at least ``least``, by name;
-    numpy's own errors for a float or a bool name no setting."""
+    """Reject a count or seed that is not a whole number of at least ``least``,
+    by name: numpy names no setting, takes True as 1 and None as a fresh seed."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
-def check_seed(seed) -> None:
-    """Reject a negative seed by name; numpy's own error does not say which value was wrong."""
-    if isinstance(seed, (int, float, np.integer, np.floating)) and seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)

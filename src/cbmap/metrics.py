@@ -16,7 +16,6 @@ import numpy as np
 from .linalg_core import (
     as_data_matrix,
     check_count,
-    check_seed,
     euclidean_distance_matrix,
     pca_fit,
     row_blocks,
@@ -54,7 +53,7 @@ class HoldoutSpec:
     def __post_init__(self):
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        check_seed(self.seed)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -314,16 +314,22 @@ def test_model_at_the_reader_bounds_transforms_silently(tmp_path, capsys, top):
     assert y.tobytes() == np.array(doc["centers_low"]).reshape(5, 2)[nearest].tobytes()
 
 
-@pytest.mark.parametrize("command", ["fit", "benchmark"])
-def test_learning_rate_flag_is_gone(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, retired", [
+    ("fit", ["--lr", "0.1"]),
+    ("benchmark", ["--lr", "0.1"]),
+    ("fit", ["--init", "pca"]),
+    ("benchmark", ["--init", "random"]),
+], ids=["fit-lr", "benchmark-lr", "fit-init", "benchmark-init"])
+def test_retired_flag_is_an_unrecognized_argument(tmp_path, capsys, command, retired):
+    # the step size is fixed, and the centers start from their PCA when k > dim
     table = tmp_path / "t.csv"
     write_csv(table, np.random.default_rng(0).normal(size=(30, 3)))
     out = tmp_path / "out.csv"
-    argv = [command, str(table), "--lr", "0.1", "-o", str(out)]
+    argv = [command, str(table), *retired, "-o", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--k", "5"] if command == "fit" else ["--k-list", "5"]))
     assert exc.value.code == 2
-    assert "unrecognized arguments: --lr 0.1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -488,7 +494,8 @@ class TestTransform:
         (b"", "line 1, column 1: Expecting value"),
         (b'{\n  "version": 1,\n  "k": ', "line 3, column 8: Expecting value"),
         (b"\xff\xfe{}", "line 1: not valid UTF-8: byte 0xff at position 1; save the file as UTF-8"),
-    ], ids=["text", "empty", "truncated", "utf16-bom"])
+        (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply to read"),
+    ], ids=["text", "empty", "truncated", "utf16-bom", "deeply-nested"])
     def test_malformed_model_file_is_named(self, fitted, tmp_path, capsys, content, message):
         table = fitted[0]
         bad = tmp_path / "bad.model.json"
@@ -850,6 +857,30 @@ class TestPlot:
             render_scatter_svg(np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("cell", ["nan", "1e400"])
+@pytest.mark.parametrize("command", ["fit", "transform", "benchmark", "plot"])
+def test_non_finite_cell_is_named_by_every_reading_command(roll_k40, tmp_path, capsys,
+                                                           command, cell):
+    # float() reads these cells as NaN and infinity; a label cell may hold them
+    roll = cbmap.make_swiss_roll(300, seed=5)
+    table = tmp_path / "t.csv"
+    write_csv(table, roll.data[:, :2] if command == "plot" else roll.data, roll.labels)
+    lines = table.read_text().splitlines()
+    lines[9] = lines[9].rsplit(",", 1)[0] + ",nan"
+    lines[249] = cell + "," + lines[249].split(",", 1)[1]
+    table.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {"fit": ["fit", str(table), "--k", "5", "--max-iter", "5"],
+            "transform": ["transform", str(roll_k40[0]), str(table)],
+            "benchmark": ["benchmark", str(table), "--k-list", "5", "--max-iter", "5"],
+            "plot": ["plot", str(table)]}[command]
+    assert main(argv + ["--label-col", "label", "-o", str(out_dir / "out.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {table}: line 250, column 1: not finite: '{cell}'"]
+    assert not any(out_dir.iterdir())
+
+
 class TestManifest:
     def test_replaying_the_manifest_reproduces_outputs(self, tmp_path):
         table = tmp_path / "iris.csv"
@@ -902,13 +933,13 @@ class TestManifest:
              {"dataset", "n_per", "gap"}),
             (["fit", str(table), "--k", "4", "--max-iter", "20", "--label-col", "label",
               "-o", str(emb)],
-             {"k", "dim", "max_iter", "init", "standardize"}),
+             {"k", "dim", "max_iter", "standardize"}),
             (["transform", str(tmp_path / "emb.model.json"), str(table), "--label-col", "3",
               "--iters", "10", "-o", str(tmp_path / "proj.csv")],
              {"model", "iters"}),
             (["benchmark", str(table), "--k-list", "3", "--max-iter", "10",
               "-o", str(tmp_path / "bench.json")],
-             {"k_list", "seeds", "dim", "max_iter", "init"}),
+             {"k_list", "seeds", "dim", "max_iter"}),
             (["plot", str(emb), "-o", str(tmp_path / "emb.svg")], set()),
         ]
         source = {"input", "label_column", "has_header"}
@@ -924,11 +955,9 @@ class TestManifest:
 
 SHARED_FLAGS = {
     "generate": ("--out", "--verbose"),
-    "fit": ("--out", "--verbose", "--label-col", "--no-header",
-            "--dim", "--max-iter", "--init"),
+    "fit": ("--out", "--verbose", "--label-col", "--no-header", "--dim", "--max-iter"),
     "transform": ("--out", "--verbose", "--label-col", "--no-header"),
-    "benchmark": ("--out", "--verbose", "--label-col", "--no-header",
-                  "--dim", "--max-iter", "--init"),
+    "benchmark": ("--out", "--verbose", "--label-col", "--no-header", "--dim", "--max-iter"),
     "plot": ("--out", "--verbose", "--label-col", "--no-header"),
 }
 

@@ -353,5 +353,5 @@ class TestKmeansConfig:
             cl.KmeansConfig(**kwargs)
 
     def test_negative_seed_is_named(self):
-        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             cl.KmeansConfig(k=2, seed=-1)

@@ -226,6 +226,48 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3, column 2"):
             ds.load_csv(f)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        # float() reads each of these as NaN or infinite
+        f = tmp_path / "t.csv"
+        f.write_text(f"a,b\n1,2\n3,{cell}\n")
+        message = f"{f}: line 3, column 2: not finite: '{cell}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ds.load_csv(f)
+
+    def test_non_finite_label_cells_are_labels(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,class\n1,nan\n2,inf\n3,nan\n")
+        out = ds.load_csv(f, label_column="class")
+        np.testing.assert_array_equal(out.labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("content, label_column, where", [
+        (b"a,b\n1,nan\n2,oops\n", None, "line 2, column 2: not finite: 'nan'"),
+        (b"a,b\n1,oops\n2,nan\n", None, "line 2, column 2: not numeric: 'oops'"),
+        (b"a,b\nnan,oops\n", None, "line 2, column 1: not finite: 'nan'"),
+        (b"a,b\noops,nan\n", None, "line 2, column 1: not numeric: 'oops'"),
+        (b"a,b\n1,inf\n2\n", None, "line 2, column 2: not finite: 'inf'"),
+        (b"a,b\n1,2\n\n\"3\n\",nan\n", None, "line 5, column 2: not finite: 'nan'"),
+        (b"c,a,b\nx,1,2\ny,3,nan\nz,oops,1\n", "c", "line 3, column 3: not finite: 'nan'"),
+        (b"a,c,b\n1,x,2\n-inf,y,3\n", 1, "line 3, column 1: not finite: '-inf'"),
+    ], ids=["nan-above-text", "text-above-nan", "nan-left-of-text", "text-left-of-nan",
+            "inf-above-ragged", "after-multi-line-field", "label-first",
+            "label-between"])
+    def test_first_fault_from_the_top_is_reported(self, tmp_path, content, label_column,
+                                                  where):
+        f = tmp_path / "t.csv"
+        f.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {where}')}$"):
+            ds.load_csv(f, label_column=label_column)
+
+    def test_non_finite_cell_in_a_late_block_follows_the_blocks_above_it(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n" + "".join(f"{i},{i}\n" for i in range(5)) + "5,nan\n6,6\n")
+        blocks = ds.load_csv_blocks(f, 2)
+        assert [next(blocks).data[0, 0] for _ in range(2)] == [0.0, 2.0]
+        with pytest.raises(ValueError, match="line 7, column 2: not finite: 'nan'$"):
+            next(blocks)
+
     def test_rows_after_a_multi_line_field_keep_their_line_numbers(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text('a,b\n"1\n",2\n3,x\n')
@@ -340,6 +382,7 @@ class TestLoadCsvFuzz:
         except ValueError:
             return
         assert dataset.data.ndim == 2 and dataset.data.dtype == np.float64
+        assert np.isfinite(dataset.data).all()
         assert dataset.data.shape[0] >= 1 and dataset.data.shape[1] >= 1
 
 

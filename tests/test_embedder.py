@@ -303,7 +303,6 @@ class TestCbmapConfig:
             {"n_clusters": 1},
             {"n_clusters": 4, "out_dim": 0},
             {"n_clusters": 4, "max_iter": 0},
-            {"n_clusters": 4, "center_init": "bogus"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -314,8 +313,13 @@ class TestCbmapConfig:
         with pytest.raises(ValueError, match=f"^{_NEGATIVE_SEED}$"):
             cbmap.CbmapConfig(n_clusters=4, seed=-1)
 
+    def test_center_init_is_not_a_setting(self):
+        # fit starts from the PCA of the centers whenever n_clusters > out_dim
+        with pytest.raises(TypeError, match="center_init"):
+            cbmap.CbmapConfig(n_clusters=4, center_init="pca")
 
-_NEGATIVE_SEED = "seed must be nonnegative, got -1"
+
+_NEGATIVE_SEED = "seed must be at least 0, got -1"
 _FRACTION = r"test_fraction must lie in \(0, 1\), got "
 
 
@@ -337,7 +341,7 @@ def test_negative_seed_or_holdout_fraction_outside_0_1_is_named(call, message):
         call()
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, np.float64(2.0)])
 @pytest.mark.parametrize("call, name", [
     (lambda v: cbmap.CbmapConfig(n_clusters=v), "n_clusters"),
     (lambda v: cbmap.CbmapConfig(n_clusters=4, out_dim=v), "out_dim"),
@@ -346,9 +350,23 @@ def test_negative_seed_or_holdout_fraction_outside_0_1_is_named(call, message):
     (lambda v: KmeansConfig(k=2, max_iters=v), "max_iters"),
     (lambda v: cbmap.transform(_golden_model(), np.zeros((2, 4)), iters=v), "iters"),
     (lambda v: knn_accuracy(np.zeros((10, 2)), np.arange(10) % 2, k=v), "k"),
-], ids=["n_clusters", "out_dim", "max_iter", "kmeans-k", "max_iters", "iters", "knn-k"])
+    (lambda v: cbmap.make_s_curve(v), "n"),
+    (lambda v: cbmap.make_swiss_roll(v), "n"),
+    (lambda v: cbmap.make_severed_sphere(v), "n"),
+    (lambda v: cbmap.make_cuboids(v), "n_per_cluster"),
+    (lambda v: cbmap.CbmapConfig(n_clusters=4, seed=v), "seed"),
+    (lambda v: KmeansConfig(k=2, seed=v), "seed"),
+    (lambda v: cbmap.HoldoutSpec(seed=v), "seed"),
+    (lambda v: cbmap.make_s_curve(10, seed=v), "seed"),
+    (lambda v: cbmap.make_swiss_roll(10, seed=v), "seed"),
+    (lambda v: cbmap.make_severed_sphere(10, seed=v), "seed"),
+    (lambda v: cbmap.make_cuboids(5, seed=v), "seed"),
+], ids=["n_clusters", "out_dim", "max_iter", "kmeans-k", "max_iters", "iters", "knn-k",
+        "s_curve-n", "swiss_roll-n", "sphere-n", "cuboids-n", "config-seed", "kmeans-seed",
+        "holdout-seed", "s_curve-seed", "swiss_roll-seed", "sphere-seed", "cuboids-seed"])
 def test_count_that_is_not_a_whole_number_is_named(call, name, value):
-    # numpy's own errors for these name no setting, and True would count as 1
+    # numpy's own errors for these name no setting, True would count as 1,
+    # and a None seed would draw a different seed from the OS on every run
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
