@@ -156,13 +156,9 @@ def render_scatter_svg(points, labels=None) -> str:
         )
     xmin, ymin = (float(v) for v in pts.min(axis=0))
     xmax, ymax = (float(v) for v in pts.max(axis=0))
-    xpad = 0.05 * (xmax - xmin)
-    ypad = 0.05 * (ymax - ymin)
     # zero-extent axes still need a visible box
-    if xpad == 0.0:
-        xpad = 0.5
-    if ypad == 0.0:
-        ypad = 0.5
+    xpad = 0.05 * (xmax - xmin) or 0.5
+    ypad = 0.05 * (ymax - ymin) or 0.5
     x0, y0 = xmin - xpad, ymin - ypad
     width = (xmax - xmin) + 2.0 * xpad
     height = (ymax - ymin) + 2.0 * ypad
@@ -366,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and write its manifest next to its first output."""
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     with warnings.catch_warnings():

@@ -8,6 +8,7 @@ inter-cluster gap can be swept.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -98,20 +99,13 @@ def make_severed_sphere(n: int, seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     longitude = rng.uniform(0.0, 2.0 * np.pi, size=n)
     colatitude = rng.uniform(0.0, np.pi, size=n)
-    keep = (colatitude >= SPHERE_CAP_COLATITUDE) & (
-        longitude <= 2.0 * np.pi * SPHERE_WEDGE_FRACTION
-    )
+    keep = ((colatitude >= SPHERE_CAP_COLATITUDE)
+            & (longitude <= 2.0 * np.pi * SPHERE_WEDGE_FRACTION))
     if not keep.any():
         raise ValueError("every sampled point fell inside the severed region; increase n")
-    longitude = longitude[keep]
-    colatitude = colatitude[keep]
-    data = np.column_stack(
-        [
-            np.sin(colatitude) * np.cos(longitude),
-            np.sin(colatitude) * np.sin(longitude),
-            np.cos(colatitude),
-        ]
-    )
+    longitude, colatitude = longitude[keep], colatitude[keep]
+    data = np.column_stack([np.sin(colatitude) * np.cos(longitude),
+                            np.sin(colatitude) * np.sin(longitude), np.cos(colatitude)])
     return LabeledDataset(data=data, labels=None, name="sphere")
 
 
@@ -157,54 +151,65 @@ def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None
     Yields datasets of ``block_rows`` rows each, the last one possibly
     shorter; ``None`` yields every row in one block. Label codes keep their
     first-seen order across blocks. A malformed row raises its ValueError
-    when the reader reaches it, and a non-finite cell when the reader ends
-    its block, after the blocks before it were yielded; a file without data
-    rows raises before the first block.
+    when the reader reaches it, a non-finite cell when the reader ends its
+    block, and a byte that is not UTF-8 when the reader decodes ahead to it,
+    after the blocks before it were yielded; a file without data rows raises
+    once its rows are read.
     """
     path = Path(path)
-    header = None
-    width = label_idx = None
-    rows = 0
-    values = array("d")  # the features, row after row
-    codes = array("q")
-    seen: dict[str, int] = {}
-    fault = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if has_header and header is None:
-                    header = [cell.strip() for cell in row]
-                    continue
-                # a quoted field may span lines, so a row is numbered by where it ends
-                lineno = reader.line_num
-                if width is None:
-                    width = len(row)
-                    label_idx = _label_index(path, label_column, header, width)
-                if len(row) != width:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-                if label_idx is not None:
-                    codes.append(seen.setdefault(row.pop(label_idx).strip(), len(seen)))
-                try:
-                    values.extend(map(float, row))
-                except ValueError:
-                    raise _bad_cell(path, lineno, row, label_idx) from None
-                rows += 1
-                if rows == block_rows:
-                    if not np.isfinite(np.frombuffer(values)).all():
-                        break  # named below
-                    yield _dataset(path, values, codes, width, label_idx)
-                    # the block yielded shares these buffers, so fresh ones follow
-                    rows, values, codes = 0, array("d"), array("q")
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            fault = ValueError(f"{path}: line {reader.line_num}: {exc}")
-        except UnicodeDecodeError:
-            fault = ValueError(f"{path}: {_utf8_error(path)}")
-        except ValueError as exc:
-            fault = exc
+        header, width = yield from _csv_blocks(path, fh, block_rows, has_header, label_column)
+    if width is None:
+        raise ValueError(f"{path}: file has a header but no data rows" if header is not None
+                         else f"{path}: file is empty")
+
+
+def _csv_blocks(path, lines, block_rows, has_header, label_column):
+    """:func:`load_csv_blocks` over the text ``lines`` of ``path``; returns the
+    header and the row width, each None until its row is read."""
+    header = width = label_idx = fault = None
+    rows, values, codes = 0, array("d"), array("q")  # values: the features, row after row
+    seen: dict[str, int] = {}
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if has_header and header is None:
+                header = [cell.strip() for cell in row]
+                continue
+            # a quoted field may span lines, so a row is numbered by where it ends
+            lineno = reader.line_num
+            if width is None:
+                width = len(row)
+                label_idx = _label_index(path, label_column, header, width)
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            if label_idx is not None:
+                codes.append(seen.setdefault(row.pop(label_idx).strip(), len(seen)))
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                raise _bad_cell(path, lineno, row, label_idx) from None
+            rows += 1
+            if rows == block_rows:
+                if not np.isfinite(np.frombuffer(values)).all():
+                    break  # named below
+                yield _dataset(path, values, codes, width, label_idx)
+                # the block yielded shares these buffers, so fresh ones follow
+                rows, values, codes = 0, array("d"), array("q")
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        fault = ValueError(f"{path}: line {reader.line_num}: {exc}")
+    except UnicodeDecodeError:  # met ahead of the parser: a fault above the line comes first
+        bad_line, message = _utf8_error(path)
+        with open(path, "rb") as raw:
+            above = (line.decode() for line in itertools.islice(raw, bad_line - 1))
+            for _ in _csv_blocks(path, above, 1, has_header, label_column):
+                pass
+        fault = ValueError(f"{path}: {message}")
+    except ValueError as exc:
+        fault = exc
     # float() reads NaN and infinity, which lie above any fault met after them;
     # the blocks are checked whole, and reading a row at a time names the line
     if not np.isfinite(np.frombuffer(values)).all():
@@ -214,11 +219,9 @@ def load_csv_blocks(path, block_rows, has_header: bool = True, label_column=None
             pass
     if fault is not None:
         raise fault
-    if width is None:
-        raise ValueError(f"{path}: file has a header but no data rows" if header is not None
-                         else f"{path}: file is empty")
     if rows:
         yield _dataset(path, values, codes, width, label_idx)
+    return header, width
 
 
 def _dataset(path, values, codes, width, label_idx) -> LabeledDataset:
@@ -264,8 +267,8 @@ def _bad_cell(path, lineno, features, label_idx) -> ValueError:
                               f"{problem}: {cell.strip()!r}")
 
 
-def _utf8_error(path) -> str:
-    """Where ``path`` first breaks UTF-8, as "line N: ...".
+def _utf8_error(path):
+    """The line where ``path`` first breaks UTF-8, and the message "line N: ...".
 
     The text reader decodes ahead of the CSV parser, so its error names
     neither the line nor the file; every line is decoded on its own instead,
@@ -276,9 +279,9 @@ def _utf8_error(path) -> str:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return (f"line {lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} "
-                        f"at position {exc.start + 1}; save the file as UTF-8")
-    return "not valid UTF-8; save the file as UTF-8"
+                return lineno, (f"line {lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} "
+                                f"at position {exc.start + 1}; save the file as UTF-8")
+    return 1, "not valid UTF-8; save the file as UTF-8"
 
 
 def write_csv(path, data, labels=None, header=None) -> None:

@@ -380,7 +380,7 @@ def load_model(path) -> CbmapModel:
     except RecursionError:  # arrays or objects nested deeper than the decoder recurses
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: {_utf8_error(path)}") from None
+        raise ValueError(f"{path}: {_utf8_error(path)[1]}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file must contain a JSON object")
     version = doc.get("version")

@@ -22,11 +22,11 @@ from .linalg_core import (
 )
 
 # Test points per kNN block are chosen so that a block's test-by-candidate
-# distances stay at most this many float64 elements (512 KB); argpartition's
-# int64 indices for them take as much again. On 1200 training rows kNN
-# accuracy took as long with 512 KB blocks as with 2 MB ones (medians of 25,
-# 4.9 ms), and 8 % longer with 256 KB ones, which pay each block's fixed
-# cost more often.
+# distances stay at most this many float64 elements (512 KB); the argmin
+# passes that pick the neighbors add only per-row arrays. On 1200 training
+# rows kNN accuracy took as long with 512 KB blocks as with 2 MB ones
+# (medians of 41, 2.4 ms), and 12 % longer with 256 KB ones, which pay each
+# block's fixed cost more often.
 _KNN_BLOCK_ELEMS = 65_536
 # The exact kNN search grids at most this many embedding columns, into tiles
 # of about _KNN_TILE_ROWS training rows, and only with at least _KNN_MIN_TILES
@@ -41,6 +41,7 @@ _KNN_MIN_TILES = 5
 # trusted, since squares that small leave float64's normal range.
 _KNN_EDGE_MARGIN = 1e-9
 _KNN_MIN_EDGE = 1e-150
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,21 @@ def _stratified_split(labels, split: HoldoutSpec):
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def _nearest_neighbors(dist, k: int) -> np.ndarray:
-    """Column indices of the ``k`` smallest entries of each row of ``dist``.
-
-    They are ordered by distance and then by index, exactly as the first
-    ``k`` columns of a stable argsort. ``argpartition`` picks them; a row
-    whose k-th distance is tied with a further column falls back to the
-    stable argsort, since the partition may keep any of the tied columns.
+def _nearest_neighbors(dist, k: int):
+    """Column indices of the ``k`` smallest entries of each row of ``dist``
+    (which it overwrites), as the first ``k`` columns of a stable argsort, and
+    the ``k``-th of those entries. Each argmin pass takes a row's first
+    smallest entry and masks it with +inf, above the largest float to which
+    overflowed distances are clamped first (a finite one is at most its root).
     """
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    part_dist = np.take_along_axis(dist, part, axis=1)
-    nearest = np.take_along_axis(part, np.lexsort((part, part_dist), axis=1), axis=1)
-    tied = np.count_nonzero(dist <= part_dist.max(axis=1)[:, None], axis=1) > k
-    if tied.any():
-        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
-    return nearest
+    np.minimum(dist, _FLOAT_MAX, out=dist)
+    rows = np.arange(dist.shape[0])
+    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        nearest[:, j] = col = dist.argmin(axis=1)
+        kth = dist[rows, col]
+        dist[rows, col] = np.inf
+    return nearest, kth
 
 
 def _majority_vote(neighbor_labels) -> np.ndarray:
@@ -235,7 +236,7 @@ def _neighbor_blocks(train, queries, k: int):
     step = max(1, _KNN_BLOCK_ELEMS // n)
     for start in range(0, rest.size, step):
         block = rest[start:start + step]
-        yield block, _nearest_neighbors(euclidean_distance_matrix(queries[block], train), k)
+        yield block, _nearest_neighbors(euclidean_distance_matrix(queries[block], train), k)[0]
 
 
 def _grid_blocks(train, queries, k: int, shape: tuple):
@@ -259,10 +260,11 @@ def _grid_blocks(train, queries, k: int, shape: tuple):
     tile_start = np.searchsorted(train_tile[order], np.arange(g ** cols + 1))
 
     # a query row's region spans slabs first..last in each column; no training
-    # row outside it is nearer than the region's nearest edge with rows beyond
+    # row outside it is nearer than the region's nearest edge with rows beyond,
+    # and an overflowed (clamped) k-th distance never lies below that edge
     first = np.maximum(query_slabs - 1, 0)
     last = np.minimum(query_slabs + 1, g - 1)
-    edge = np.full(queries.shape[0], np.inf)
+    edge = np.full(queries.shape[0], _FLOAT_MAX)
     with np.errstate(over="ignore"):
         for c in range(cols):
             above, below = _slab_bounds(train[:, c], train_slabs[c], g)
@@ -287,9 +289,7 @@ def _grid_blocks(train, queries, k: int, shape: tuple):
         step = max(1, _KNN_BLOCK_ELEMS // cand.size)
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
-            dist = euclidean_distance_matrix(queries[block], points)
-            nearest = _nearest_neighbors(dist, k)
-            kth = np.take_along_axis(dist, nearest[:, -1:], axis=1)[:, 0]
+            nearest, kth = _nearest_neighbors(euclidean_distance_matrix(queries[block], points), k)
             kept = np.maximum(kth, _KNN_MIN_EDGE) < edge[block]
             if kept.any():
                 yield block[kept], cand[nearest[kept]]

@@ -599,6 +599,33 @@ class TestTransform:
         if existing:
             assert out.read_text() == "an earlier output\n"
 
+    @pytest.mark.parametrize("cell, message", [
+        ("oops", "not numeric: 'oops'"),
+        ("inf", "not finite: 'inf'"),
+    ], ids=["not-numeric", "not-finite"])
+    def test_bad_cell_above_a_bad_byte_in_a_late_block_comes_first(self, roll_k40, tmp_path,
+                                                                   capsys, cell, message):
+        # the byte that is not UTF-8, three lines below the bad cell, is decoded
+        # before the parser reaches that cell; the cell is still the fault named
+        model_path, _ = roll_k40
+        block = transform_block_rows(cbmap.load_model(model_path))
+        roll = cbmap.make_swiss_roll(2 * block + 3, seed=4)
+        table = tmp_path / "new.csv"
+        write_csv(table, roll.data, roll.labels)
+        lines = table.read_bytes().split(b"\n")
+        bad_line = block + 8  # 1-based, in the second block of rows
+        lines[bad_line - 1] = b"0.5," + cell.encode() + b",0.5,1"
+        lines[bad_line + 2] = b"\xe9" + lines[bad_line + 2]
+        table.write_bytes(b"\n".join(lines))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["transform", str(model_path), str(table), "--label-col", "label",
+                     "--iters", "2", "-o", str(out_dir / "proj.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {table}: line {bad_line}, column 2: {message}"]
+        assert list(out_dir.iterdir()) == []
+
     def test_verbose_prints_the_rows_written_after_each_block(self, roll_k40, tmp_path, capsys):
         model_path, _ = roll_k40
         block = transform_block_rows(cbmap.load_model(model_path))

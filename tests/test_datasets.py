@@ -343,6 +343,20 @@ class TestLoadCsv:
             ds.load_csv(f)
 
 
+    @pytest.mark.parametrize("content, where", [
+        (b"a,b\n1,oops\n2,\xe9\n", "line 2, column 2: not numeric: 'oops'"),
+        (b"a,b\n1,inf\n2,\xe9\n", "line 2, column 2: not finite: 'inf'"),
+        (b"a,b\n1,2\n1,2,3\n\xe9,2\n", "line 3: expected 2 fields, got 3"),
+        (b"a,b\n\xe9,2\n", "line 2: not valid UTF-8: byte 0xe9 at position 1;"),
+    ], ids=["not-numeric", "not-finite", "ragged", "no-row-above"])
+    def test_fault_above_a_byte_that_is_not_utf8_comes_first(self, tmp_path, content, where):
+        # the text reader decodes ahead of the parser, so the bad byte is met
+        # before the rows above it are parsed; they are read again
+        f = tmp_path / "t.csv"
+        f.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {re.escape(where)}"):
+            ds.load_csv(f)
+
 def test_load_csv_memory_does_not_hold_the_rows_twice(tmp_path):
     roll = ds.make_swiss_roll(20_000, seed=0)
     f = tmp_path / "roll.csv"

@@ -145,11 +145,13 @@ class TestGlobalScoreMemory:
 
 
 def _knn_oracle(y, labels, k, split):
-    """kNN accuracy by sorting (distance, training position) pairs in Python."""
+    """kNN accuracy by sorting (distance, training position) pairs in Python;
+    a distance whose square overflows is +inf."""
     train_idx, test_idx = mx._stratified_split(labels, split)
     correct = 0
     for t in test_idx:
-        dists = sorted((np.linalg.norm(y[t] - y[i]), pos) for pos, i in enumerate(train_idx))
+        with np.errstate(over="ignore"):
+            dists = sorted((np.linalg.norm(y[t] - y[i]), pos) for pos, i in enumerate(train_idx))
         nearest = [labels[train_idx[pos]] for _, pos in dists[:k]]
         tally = {}
         for lab in nearest:
@@ -292,8 +294,8 @@ class TestKnnMemory:
     @pytest.mark.parametrize("all_pairs", [False, True], ids=["grid", "all-pairs"])
     def test_peak_beyond_per_row_arrays_does_not_grow_with_n(self, all_pairs, monkeypatch):
         # the split, the copies of the embedding and the grid's indices take
-        # under 200 bytes a row; distances and their argpartition indices come
-        # in blocks of _KNN_BLOCK_ELEMS, whatever the row count
+        # under 200 bytes a row; distances come in blocks of _KNN_BLOCK_ELEMS,
+        # whatever the row count, and picking neighbors adds O(block rows)
         if all_pairs:
             monkeypatch.setattr(mx, "_KNN_MIN_TILES", 10**9)
         rng = np.random.default_rng(39)
@@ -319,13 +321,16 @@ def _training_rows(kind, rng, n, m):
         return rng.normal(scale=0.1, size=(n, m)) + 50.0 * rng.choice([-1.0, 1.0], size=(n, 1))
     if kind == "huge":
         return rng.normal(size=(n, m)) * 1e150
+    if kind == "overflow":  # near 0 or +-1e200: squared distances across groups overflow
+        return rng.choice([-1e200, 0.0, 1e200], size=(n, m)) + rng.normal(size=(n, m)) * 1e150
     if kind == "tiny":  # squared distances underflow to zero
         return rng.normal(size=(n, m)) * 1e-170
     return rng.uniform(size=(n, m))
 
 
 def _brute_force_neighbors(train, queries, k):
-    return mx._nearest_neighbors(euclidean_distance_matrix(queries, train), k)
+    """The first ``k`` columns of a stable argsort of all query-to-train distances."""
+    return np.argsort(euclidean_distance_matrix(queries, train), axis=1, kind="stable")[:, :k]
 
 
 def _tiled_neighbors(train, queries, k):
@@ -338,12 +343,38 @@ def _tiled_neighbors(train, queries, k):
     return nearest
 
 
+class TestNearestNeighbors:
+    """The k argmin passes give the first k columns of a stable argsort."""
+
+    @pytest.mark.parametrize("kind", ["integer-grid", "huge", "overflow", "tiny"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_equals_the_stable_argsort(self, kind, k):
+        rng = np.random.default_rng(k)
+        dist = euclidean_distance_matrix(_training_rows(kind, rng, 40, 2),
+                                         _training_rows(kind, rng, 12, 2))
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nearest, kth = mx._nearest_neighbors(dist.copy(), k)
+        np.testing.assert_array_equal(nearest, expected)
+        np.testing.assert_array_equal(kth, np.minimum(dist[np.arange(40), expected[:, -1]],
+                                                      np.finfo(np.float64).max))
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_overflowed_distances_keep_index_order(self, k):
+        # +inf, equal and finite distances; in an all-inf row an argmin that
+        # masked with +inf alone would take the first column k times
+        dist = np.array([[np.inf] * 6,
+                         [np.inf, 2.0, np.inf, 2.0, 1e154, np.inf],
+                         [1.0, np.inf, 1.0, np.inf, 1.0, 0.0]])
+        nearest, _ = mx._nearest_neighbors(dist.copy(), k)
+        np.testing.assert_array_equal(nearest, np.argsort(dist, axis=1, kind="stable")[:, :k])
+
+
 class TestTiledNeighborSearch:
     """The grid search gives the all-pairs scan's neighbors, order and accuracy."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["integer-grid", "duplicates", "zero-width", "clustered",
-                                 "huge", "tiny", "uniform"]),
+                                 "huge", "overflow", "tiny", "uniform"]),
            m=st.sampled_from([1, 2, 3]), k=st.sampled_from([1, 3, 5]),
            n_train=st.integers(8, 150), n_queries=st.integers(1, 60),
            outside=st.booleans(), tile_rows=st.sampled_from([1, 2]),
@@ -392,6 +423,14 @@ class TestTiledNeighborSearch:
         monkeypatch.setattr(mx, "_KNN_TILE_ROWS", 2)
         nearest = _tiled_neighbors(np.arange(20.0)[:, None], np.array([[10.0]]), 6)
         assert nearest[0].tolist() == [10, 9, 11, 8, 12, 7]
+
+    def test_overflowed_kth_distance_goes_to_the_whole_set(self, monkeypatch):
+        # five tiles over [-1e308, 1e308]: from -1e308 the region holds rows 3
+        # and 4, and row 4's distance overflows, as do the distance to the
+        # region's edge and to rows 0-2 beyond it. Row 0 comes first of those ties
+        monkeypatch.setattr(mx, "_KNN_TILE_ROWS", 1)
+        train = np.array([[1e308], [1e308], [1e308], [-1e308], [-7e307]])
+        assert _tiled_neighbors(train, np.array([[-1e308]]), 2).tolist() == [[3, 0]]
 
     def test_roll_embedding_scans_a_small_share_of_pairs(self, monkeypatch):
         # an unrolled 20,000-row swiss roll: radius and height, as a good
