@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg_core import (
+    _expanded_sq_distances,
     as_data_matrix,
     check_count,
     euclidean_distance_matrix,
@@ -24,12 +25,13 @@ FULL_BATCH_LIMIT = 5000
 BATCH_SIZE = 1024
 N_INIT = 3
 
-# assign_labels takes its distances from one matrix product from this many
-# columns on, where it was at least as fast at every size measured. Narrower
-# inputs keep the exact kernel: with 2 BLAS threads, the threads the product
-# wakes slowed the descent after k-means (5000-row roll fit 0.65-0.84 s against
-# 0.63-0.71 s, medians of six 5-fit rounds); with 1 thread the two were even.
+# From this many columns on, k-means and embedder's point-to-center distances take
+# matrix products. Narrower inputs keep the exact kernel: with 2 BLAS threads, the
+# threads a product wakes slowed the descent after k-means (5000-row roll fit
+# 0.65-0.84 s against 0.63-0.71 s). A squared distance is kept where its rounding
+# bound is within _EXPANDED_RTOL of it.
 _EXPANDED_MIN_D = 8
+_EXPANDED_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,23 +58,13 @@ class ClusterAssignment:
 def assign_labels(x, centers) -> np.ndarray:
     """Index of the nearest center per row; ties go to the smallest index.
 
-    The labels are exactly ``np.argmin(euclidean_distance_matrix(x, centers),
-    axis=1)``. Below ``_EXPANDED_MIN_D`` columns they are computed that way.
-    From there on the squared distances come from the expanded form
-    ``s = |x|^2 - 2 x c^T + |c|^2``, one matrix product, and each row keeps
-    the argmin of ``s`` when its two smallest values differ by more than
-
-        8 (d + 4) eps (|x_i|^2 + max_j |c_j|^2 + tiny).
-
-    With ``N = |x_i|^2 + max_j |c_j|^2``, each ``s`` is within
-    ``(d + 2) eps N`` of the true squared distance and each exact squared
-    distance within ``(d + 3) eps N``, and two square roots can round equal
-    only when their squares differ by under ``4 eps N``; the bound is over
-    twice the sum of all four errors and that gap, so a row outside it has
-    the same nearest center on both paths and no tie there. ``tiny``, the
-    smallest normal float64, covers underflow. Every other row, including a
-    row whose ``s`` is not finite, is recomputed through
-    :func:`euclidean_distance_matrix`.
+    The labels are exactly ``np.argmin(euclidean_distance_matrix(x, centers), axis=1)``,
+    computed that way below ``_EXPANDED_MIN_D`` columns. From there on the squared
+    distances ``s`` come from one matrix product, within ``(d + 2) eps N`` of the true
+    values (``linalg_core._expanded_sq_distances``), and a row keeps the argmin of ``s``
+    if its two smallest values differ by over ``8 (d + 4) eps N``: twice the sum of both
+    paths' errors (the exact kernel's is ``(d + 3) eps N``) and of the ``4 eps N`` within
+    which squares can share a square root. The exact kernel recomputes the other rows.
     """
     if np.ndim(x) != 2 or np.shape(x)[1] < _EXPANDED_MIN_D:
         return np.argmin(euclidean_distance_matrix(x, centers), axis=1)
@@ -82,23 +74,16 @@ def assign_labels(x, centers) -> np.ndarray:
     d = x.shape[1]
     if centers.shape[1] != d:
         return np.argmin(euclidean_distance_matrix(x, centers), axis=1)  # raises the mismatch
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = np.einsum("ij,ij->i", x, x)
-        c_sq = np.einsum("ij,ij->i", centers, centers)
-        s = x @ centers.T
-        s *= -2.0
-        s += x_sq[:, None]
-        s += c_sq
-        labels = np.argmin(s, axis=1)
-        rows = np.arange(x.shape[0])
-        best = s[rows, labels]
-        s[rows, labels] = np.inf
+    s, err = _expanded_sq_distances(x, centers)
+    labels = np.argmin(s, axis=1)
+    every = np.arange(x.shape[0])
+    best = s[every, labels]
+    s[every, labels] = np.inf
+    with np.errstate(invalid="ignore"):
         gap = s.min(axis=1) - best
-        bound = 8 * (d + 4) * np.finfo(np.float64).eps * (
-            x_sq + c_sq.max() + np.finfo(np.float64).tiny)
-        near = np.flatnonzero(~(gap > bound))
-    if near.size:
-        labels[near] = np.argmin(euclidean_distance_matrix(x[near], centers), axis=1)
+    near = np.flatnonzero(~(gap > 8 * (d + 4) / (d + 2) * err))
+    for rows in (near[part] for part in row_blocks(near.size, d)):  # blocks, no copy of x
+        labels[rows] = np.argmin(euclidean_distance_matrix(x[rows], centers), axis=1)
     return labels
 
 
@@ -131,14 +116,24 @@ def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
 
 def _kmeans_plusplus(x, k, rng):
     """Seed centers at data points, weighting draws by squared distance to the
-    nearest center chosen so far."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
+    nearest center chosen so far; wide inputs take one matrix-vector product per draw
+    and recompute exactly the rows not within ``_EXPANDED_RTOL``, coincident ones too."""
+    n, d = x.shape
+    centers = np.empty((k, d))
     centers[0] = x[int(rng.integers(n))]
     closest_sq = np.full(n, np.inf)
+    x_sq = np.einsum("ij,ij->i", x, x) if d >= _EXPANDED_MIN_D else None
     for j in range(1, k):
         # only the draw of a next center needs the distance to the last one
-        new_sq = euclidean_distance_matrix(x, centers[j - 1 : j])[:, 0] ** 2
+        last = centers[j - 1 : j]
+        if x_sq is None:
+            new_sq = euclidean_distance_matrix(x, last)[:, 0] ** 2
+        else:
+            new_sq, err = _expanded_sq_distances(x, last, x_sq)
+            new_sq = new_sq[:, 0]
+            near = np.flatnonzero(~(err <= _EXPANDED_RTOL * new_sq))
+            for rows in (near[part] for part in row_blocks(near.size, d)):  # blocks, no copy of x
+                new_sq[rows] = euclidean_distance_matrix(x[rows], last)[:, 0] ** 2
         np.minimum(closest_sq, new_sq, out=closest_sq)
         total = closest_sq.sum()
         if not np.isfinite(total):
@@ -154,23 +149,19 @@ def _kmeans_plusplus(x, k, rng):
 
 def update_centers(x, labels, previous) -> np.ndarray:
     """Mean of the rows of ``x`` per label; a label with no rows keeps its ``previous`` center."""
+    k, d = len(previous), x.shape[1]
     centers = previous.copy()
-    counts = np.bincount(labels, minlength=len(previous))
+    counts = np.bincount(labels, minlength=k)
     occupied = counts > 0
-    if x.shape[1] > len(previous):
-        # Adds each label's rows in order from 0.0, as bincount does: the same
-        # bits. The rows come a block at a time, each block under the running
-        # sum, which adds to 0.0 exactly, so no label's rows are copied whole.
-        for j in np.flatnonzero(occupied):
-            members = np.flatnonzero(labels == j)
-            blocks = row_blocks(members.size, x.shape[1])
-            total = x[members[next(blocks)]].sum(axis=0, initial=0.0)
-            for rows in blocks:
-                total = np.vstack((total, x[members[rows]])).sum(axis=0, initial=0.0)
-            centers[j] = total / counts[j]
+    if d > k:
+        # one-hot products per row block (2000 rows at once gave other bits on 2 BLAS threads)
+        sums = np.zeros((k, d))
+        for rows in row_blocks(*x.shape):
+            sums += (np.arange(k)[:, None] == labels[rows]).astype(np.float64) @ x[rows]
+        centers[occupied] = sums[occupied] / counts[occupied, None]
         return centers
-    for col in range(x.shape[1]):
-        sums = np.bincount(labels, weights=x[:, col], minlength=len(previous))
+    for col in range(d):
+        sums = np.bincount(labels, weights=x[:, col], minlength=k)
         centers[occupied, col] = sums[occupied] / counts[occupied]
     return centers
 

@@ -203,8 +203,8 @@ def _csv_blocks(path, lines, block_rows, has_header, label_column):
         fault = ValueError(f"{path}: line {reader.line_num}: {exc}")
     except UnicodeDecodeError:  # met ahead of the parser: a fault above the line comes first
         bad_line, message = _utf8_error(path)
-        with open(path, "rb") as raw:
-            above = (line.decode() for line in itertools.islice(raw, bad_line - 1))
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as text:
+            above = itertools.islice(text, bad_line - 1)
             for _ in _csv_blocks(path, above, 1, has_header, label_column):
                 pass
         fault = ValueError(f"{path}: {message}")
@@ -267,15 +267,16 @@ def _bad_cell(path, lineno, features, label_idx) -> ValueError:
                               f"{problem}: {cell.strip()!r}")
 
 
-def _utf8_error(path):
+def _utf8_error(path, newline=""):
     """The line where ``path`` first breaks UTF-8, and the message "line N: ...".
 
-    The text reader decodes ahead of the CSV parser, so its error names
-    neither the line nor the file; every line is decoded on its own instead,
-    which is exact because no multi-byte UTF-8 sequence contains a newline.
+    Lines end as a reader with this ``newline`` ends them: ``""`` (CSV) at ``\r\n``,
+    ``\r`` or ``\n``, ``"\n"`` (JSON) at ``\n``. A reader decodes ahead, naming neither
+    line nor file, so each line is read with bad bytes escaped and decoded on its own.
     """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            raw = line.encode("utf-8", "surrogateescape")
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import membership as mb
-from .clustering import KmeansConfig, kmeans_fit, update_centers
+from .clustering import _EXPANDED_MIN_D, _EXPANDED_RTOL, KmeansConfig, kmeans_fit, update_centers
 from .datasets import _utf8_error
 from .linalg_core import (
+    _expanded_sq_distances,
     apply_scaler,
     as_data_matrix,
     block_rows,
@@ -28,6 +29,7 @@ from .linalg_core import (
     fit_scaler,
     pca_fit,
     pca_transform,
+    row_blocks,
     zscore_normalize,
 )
 
@@ -176,6 +178,21 @@ def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
     return y, state, loss
 
 
+def _center_distances(x, centers) -> np.ndarray:
+    """The (n, k) distances from the checked rows of ``x`` to ``centers``; wide inputs recompute
+    exactly each row not within ``_EXPANDED_RTOL`` or not clear of a tie by 4 times that."""
+    if x.shape[1] < _EXPANDED_MIN_D:
+        return euclidean_distance_matrix(x, centers)
+    sq, err = _expanded_sq_distances(x, centers)
+    kth = min(1, sq.shape[1] - 1)  # the second smallest; one center has no gap
+    first, second = np.partition(sq, kth, axis=1)[:, [0, kth]].T
+    near = np.flatnonzero(~((err <= _EXPANDED_RTOL * first)
+                            & (first < (1 - 4 * _EXPANDED_RTOL) * second)))
+    for rows in (near[part] for part in row_blocks(near.size, x.shape[1])):  # no copy of x
+        sq[rows] = euclidean_distance_matrix(x[rows], centers, squared=True)
+    return np.sqrt(sq, out=sq)
+
+
 def fit(x, cfg: CbmapConfig) -> FitResult:
     """Embed ``x`` into ``cfg.out_dim`` dimensions.
 
@@ -205,9 +222,8 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     labels = assignment.labels
     centers_high = assignment.centers
 
-    # (n, k) distances keep the kernel's difference-tensor branch when d >= k;
-    # their transpose gives the (k, n) memberships directly
-    dist_high = euclidean_distance_matrix(x, centers_high)
+    # the transpose of the (n, k) distances gives the (k, n) memberships directly
+    dist_high = _center_distances(x, centers_high)
     s_high = mb.sigma_high(dist_high)
     u_high = mb.membership_matrix(dist_high.T, s_high)
     del dist_high
@@ -274,7 +290,7 @@ def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:
     """:func:`transform` of one block of checked rows."""
     if model.feature_scaler is not None:
         x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
-    dist_high = euclidean_distance_matrix(x, model.centers_high)
+    dist_high = _center_distances(x, model.centers_high)
     u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
     # argmax membership == argmin distance, and stays well defined when every
     # membership in a row underflows to zero
@@ -380,7 +396,7 @@ def load_model(path) -> CbmapModel:
     except RecursionError:  # arrays or objects nested deeper than the decoder recurses
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: {_utf8_error(path)[1]}") from None
+        raise ValueError(f"{path}: " + _utf8_error(path, newline="\n")[1]) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file must contain a JSON object")
     version = doc.get("version")

@@ -83,10 +83,9 @@ def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
     Computed from explicit coordinate differences (not the expanded quadratic
-    form), so small distances do not lose precision to cancellation.
-    :func:`cbmap.clustering.assign_labels`, which needs only an argmin, does
-    use the expanded form in high dimensions and sends the rows it cannot
-    decide within a stated rounding bound back to this kernel.
+    form), so small distances do not lose precision to cancellation. Wide
+    inputs' k-means, ``fit`` and ``transform`` take the expanded form
+    (:func:`_expanded_sq_distances`), and here the rows it cannot settle.
 
     Rows of ``a`` are taken in cache-sized blocks. When there are fewer
     columns than centers (``d < k``) each block sums its squared differences
@@ -123,6 +122,24 @@ def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
             if not squared:
                 np.sqrt(block, out=block)
     return out
+
+
+def _expanded_sq_distances(a, b, a_sq=None):
+    """Squared distances ``|a_i|^2 - 2 a_i b_j + |b_j|^2`` between the rows of finite
+    float64 ``a`` (n, d) and ``b`` (k, d) from one matrix product (``a_sq`` may give
+    the ``|a_i|^2``), and the (n,) bound ``(d + 2) eps N`` on row i's errors,
+    ``N = |a_i|^2 + max_j |b_j|^2 + tiny``: the norms and the product each err by
+    at most ``(d - 1) eps N / 2``, the additions by ``2 eps N``. Rows it does not
+    settle, or not finite, are for :func:`euclidean_distance_matrix`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_sq = np.einsum("ij,ij->i", a, a) if a_sq is None else a_sq
+        b_sq = np.einsum("ij,ij->i", b, b)
+        sq = a @ b.T
+        sq *= -2.0
+        sq += a_sq[:, None]
+        sq += b_sq
+        tiny = np.finfo(np.float64).tiny
+        return sq, (a.shape[1] + 2) * np.finfo(np.float64).eps * (a_sq + b_sq.max() + tiny)
 
 
 def zscore_normalize(m) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cbmap.datasets import make_swiss_roll
+
 
 def two_blobs(n_per=100, seed=10):
     """Two well-separated anisotropic 3-D Gaussian blobs.
@@ -27,3 +29,11 @@ def disk_blobs(centers, n_per=50, radius=0.5, seed=0):
         points.append(np.column_stack([r * np.cos(angle), r * np.sin(angle)]) + c)
         ids.append(np.full(n_per, i))
     return np.vstack(points), np.concatenate(ids)
+
+
+def lifted_roll(n, d, seed):
+    """A swiss roll mapped into ``d`` columns by a seeded orthonormal map, plus noise."""
+    roll = make_swiss_roll(n, seed=seed).data
+    rng = np.random.default_rng(seed + 1)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+    return roll @ basis.T + rng.normal(0.0, 0.3, (n, d))

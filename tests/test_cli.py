@@ -494,8 +494,11 @@ class TestTransform:
         (b"", "line 1, column 1: Expecting value"),
         (b'{\n  "version": 1,\n  "k": ', "line 3, column 8: Expecting value"),
         (b"\xff\xfe{}", "line 1: not valid UTF-8: byte 0xff at position 1; save the file as UTF-8"),
+        # JSON numbers its lines by \n alone, and so does the UTF-8 error
+        (b'{\r  "k": \xe9}', "line 1: not valid UTF-8: byte 0xe9 at position 10; "
+                              "save the file as UTF-8"),
         (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply to read"),
-    ], ids=["text", "empty", "truncated", "utf16-bom", "deeply-nested"])
+    ], ids=["text", "empty", "truncated", "utf16-bom", "cr-endings", "deeply-nested"])
     def test_malformed_model_file_is_named(self, fitted, tmp_path, capsys, content, message):
         table = fitted[0]
         bad = tmp_path / "bad.model.json"
@@ -624,6 +627,34 @@ class TestTransform:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {table}: line {bad_line}, column 2: {message}"]
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", [None, "oops"], ids=["bad-byte", "bad-cell-above"])
+    def test_lines_ended_by_lone_carriage_returns_are_numbered_as_the_parser_reads_them(
+            self, roll_k40, tmp_path, capsys, cell):
+        # old Mac line endings, with the byte that is not UTF-8 in the second
+        # block of rows and, in one case, a bad cell three lines above it
+        model_path, _ = roll_k40
+        block = transform_block_rows(cbmap.load_model(model_path))
+        roll = cbmap.make_swiss_roll(2 * block + 3, seed=4)
+        table = tmp_path / "new.csv"
+        write_csv(table, roll.data, roll.labels)
+        lines = table.read_bytes().split(b"\n")[:-1]
+        bad_line = block + 8  # 1-based, in the second block of rows
+        lines[bad_line + 2] = b"\xe9" + lines[bad_line + 2]
+        if cell is None:
+            message = (f"line {bad_line + 3}: not valid UTF-8: byte 0xe9 at position 1; "
+                       "save the file as UTF-8")
+        else:
+            lines[bad_line - 1] = b"0.5," + cell.encode() + b",0.5,1"
+            message = f"line {bad_line}, column 2: not numeric: '{cell}'"
+        table.write_bytes(b"\r".join(lines) + b"\r")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["transform", str(model_path), str(table), "--label-col", "label",
+                     "--iters", "2", "-o", str(out_dir / "proj.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {table}: {message}"]
         assert list(out_dir.iterdir()) == []
 
     def test_verbose_prints_the_rows_written_after_each_block(self, roll_k40, tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from cbmap import clustering as cl
 from cbmap.datasets import make_swiss_roll
-from cbmap.linalg_core import _CHUNK_ELEMS, euclidean_distance_matrix
-from _util import disk_blobs
+from cbmap.linalg_core import _CHUNK_ELEMS, _expanded_sq_distances, euclidean_distance_matrix
+from _util import disk_blobs, lifted_roll
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,21 @@ class TestAssignLabels:
     def test_dimension_mismatch(self, d):
         with pytest.raises(ValueError, match="mismatch"):
             cl.assign_labels(np.zeros((2, d)), np.zeros((2, d - 1)))
+
+
+class _RecordingRng:
+    """A seeded generator that keeps the weights of every weighted draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.weights = []
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def choice(self, n, p):
+        self.weights.append(p.copy())
+        return self._rng.choice(n, p=p)
 
 
 def _tie_grid(d, offset, seed):
@@ -96,10 +111,8 @@ class TestExpandedAssignment:
         np.testing.assert_array_equal(cl.assign_labels(x, centers), expected)
 
     def test_kmeans_fit_on_a_lifted_roll_is_bit_equal_to_the_exact_path(self, monkeypatch):
-        roll = make_swiss_roll(600, seed=5).data
-        rng = np.random.default_rng(6)
-        basis, _ = np.linalg.qr(rng.standard_normal((32, 3)))
-        x = roll @ basis.T + rng.normal(0.0, 0.3, (600, 32))
+        # both paths sum the centers alike, and the seeding draws the same rows
+        x = lifted_roll(600, 32, seed=5)
         cfg = cl.KmeansConfig(k=12, max_iters=20, seed=1)
         for limit in (601, 0):  # Lloyd on the 600 rows, then the mini-batch driver
             monkeypatch.setattr(cl, "FULL_BATCH_LIMIT", limit)
@@ -111,6 +124,62 @@ class TestExpandedAssignment:
             assert fast.labels.tobytes() == exact.labels.tobytes()
             assert fast.centers.tobytes() == exact.centers.tobytes()
             assert fast.inertia == exact.inertia
+
+
+class TestWideSeeding:
+    """From ``_EXPANDED_MIN_D`` columns on, k-means++ takes its squared
+    distances from one matrix-vector product per drawn center."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_one_matrix_vector_product_per_drawn_center(self, monkeypatch, k):
+        x = lifted_roll(200, 16, seed=3)
+        products, rechecks = [], []
+
+        def product(a, b, a_sq=None):
+            products.append((a is x, b.shape, a_sq))
+            return _expanded_sq_distances(a, b, a_sq)
+
+        def exact(a, b):
+            rechecks.append(a.copy())
+            return euclidean_distance_matrix(a, b)
+
+        monkeypatch.setattr(cl, "_expanded_sq_distances", product)
+        monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
+        centers = cl._kmeans_plusplus(x, k, np.random.default_rng(0))
+        assert [(same, shape) for same, shape, _ in products] == [(True, (1, 16))] * (k - 1)
+        # the row norms are taken once per seeding
+        assert all(a_sq is products[0][2] for _, _, a_sq in products)
+        # each drawn center's own row is rechecked by the exact kernel
+        assert len(rechecks) == k - 1
+        for center, rows in zip(centers, rechecks):
+            assert (rows == center).all(axis=1).any()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_picks_and_weights_match_the_exact_path(self, monkeypatch, seed):
+        x = lifted_roll(400, 32, seed=seed)
+        x = np.vstack([x, x[::7]])  # points that coincide with others
+        wide = _RecordingRng(seed)
+        centers = cl._kmeans_plusplus(x, 15, wide)
+        monkeypatch.setattr(cl, "_EXPANDED_MIN_D", x.shape[1] + 1)
+        exact = _RecordingRng(seed)
+        assert centers.tobytes() == cl._kmeans_plusplus(x, 15, exact).tobytes()
+        for p, ref in zip(wide.weights, exact.weights, strict=True):
+            # a point on a drawn center weighs exactly 0, on both paths
+            np.testing.assert_array_equal(p == 0.0, ref == 0.0)
+            np.testing.assert_allclose(p, ref, rtol=1e-9, atol=0.0)
+
+    def test_coincident_points_get_no_weight(self):
+        # six distinct points, five copies each: the six draws take all six
+        base = lifted_roll(6, 16, seed=8)
+        x = np.repeat(base, 5, axis=0)
+        for seed in range(10):
+            centers = cl._kmeans_plusplus(x, 6, np.random.default_rng(seed))
+            assert len(np.unique(centers, axis=0)) == 6
+
+    def test_overflow_is_named(self):
+        x = np.random.default_rng(9).normal(size=(20, 16)) * 1e200
+        with pytest.raises(ValueError, match="overflow float64; rescale the input"):
+            cl._kmeans_plusplus(x, 3, np.random.default_rng(0))
 
 
 class TestKmeansFit:
@@ -228,8 +297,11 @@ class TestKmeansFit:
         monkeypatch.setattr(cl, "BATCH_SIZE", 8)
         centers, labels, _ = cl._minibatch(x, 12, 40, np.random.default_rng(d))
         ref_centers, ref_labels = per_label(x, 12, 40, np.random.default_rng(d))
-        assert centers.tobytes() == ref_centers.tobytes()
         assert labels.tobytes() == ref_labels.tobytes()
+        if d <= 12:  # per-column bincount sums, in the reference's order
+            assert centers.tobytes() == ref_centers.tobytes()
+        else:  # one-hot matrix products, in the BLAS's order
+            assert (np.abs(centers - ref_centers) <= 1e-12 * np.abs(x).max(axis=0)).all()
 
     def test_minibatch_covers_every_cluster(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -316,21 +388,40 @@ class TestUpdateCenters:
         for j in range(4):
             np.testing.assert_allclose(out[j], y[labels == j].mean(axis=0), atol=1e-12)
 
-    @pytest.mark.parametrize("n, d, k", [(200, 40, 6), (200, 3, 6), (50, 6, 6), (3000, 64, 3)])
-    def test_bit_equal_to_a_per_column_bincount(self, n, d, k):
-        # 3000 rows of 64 columns sum each label's rows over several blocks
+    @staticmethod
+    def _bincount_case(n, d, k):
+        """Rows, labels (label k - 1 empty), previous centers, and the
+        per-column bincount means."""
         rng = np.random.default_rng(d)
         y = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
         y[:, 0] = -0.0  # an all -0.0 column sums to +0.0 from bincount's zero start
-        labels = rng.integers(0, k - 1, size=n)  # label k - 1 stays empty
+        labels = rng.integers(0, k - 1, size=n)
         previous = rng.normal(size=(k, d))
         counts = np.bincount(labels, minlength=k)
         expected = previous.copy()
         for col in range(d):
             sums = np.bincount(labels, weights=y[:, col], minlength=k)
             expected[counts > 0, col] = sums[counts > 0] / counts[counts > 0]
+        return y, labels, previous, expected
+
+    @pytest.mark.parametrize("n, d, k", [(200, 3, 6), (50, 6, 6), (3000, 2, 40)])
+    def test_bit_equal_to_a_per_column_bincount(self, n, d, k):
+        # no more columns than labels: the fit loop's low-dimensional centers
+        y, labels, previous, expected = self._bincount_case(n, d, k)
         out = cl.update_centers(y, labels, previous)
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d, k", [(200, 40, 6), (3000, 64, 3), (1500, 256, 20),
+                                         (5000, 9, 8)])
+    def test_one_hot_sums_match_a_per_column_bincount(self, n, d, k):
+        # more columns than labels: one-hot products over several blocks of rows
+        y, labels, previous, expected = self._bincount_case(n, d, k)
+        out = cl.update_centers(y, labels, previous)
+        np.testing.assert_array_equal(out[k - 1], previous[k - 1])
+        np.testing.assert_array_equal(out[:k - 1, 0], 0.0)
+        # within 1e-12 of each label's mean magnitude, column by column
+        scale = np.array([np.abs(y[labels == j]).mean(axis=0) for j in range(k - 1)])
+        assert (np.abs(out[:k - 1] - expected[:k - 1]) <= 1e-12 * scale).all()
 
     def test_absent_label_keeps_previous_center(self):
         y = np.array([[1.0, 1.0], [3.0, 3.0]])

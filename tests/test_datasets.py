@@ -335,7 +335,12 @@ class TestLoadCsv:
         (b"a,b\n1,2\n3,\xe9\n", "line 3: not valid UTF-8: byte 0xe9 at position 3"),
         # a two-byte sequence cut short at the end of its line
         (b"a,b\n1,\xc3\n", "line 2: not valid UTF-8: byte 0xc3 at position 3"),
-    ], ids=["utf16-mark", "latin1-byte", "cut-sequence"])
+        # lines end as the parser ends them: at a lone \r, \r\n or \n
+        (b"a,b\r1,2\r3,\xe9\r", "line 3: not valid UTF-8: byte 0xe9 at position 3"),
+        (b"a,b\r\n1,2\r\n3,\xe9\r\n", "line 3: not valid UTF-8: byte 0xe9 at position 3"),
+        (b"a,b\n1,2\r3,4\r\n5,6\n7,\xe9\r", "line 5: not valid UTF-8: byte 0xe9 at position 3"),
+    ], ids=["utf16-mark", "latin1-byte", "cut-sequence", "cr-endings", "crlf-endings",
+            "mixed-endings"])
     def test_invalid_utf8_reports_file_and_line(self, tmp_path, content, where):
         f = tmp_path / "t.csv"
         f.write_bytes(content)
@@ -348,7 +353,8 @@ class TestLoadCsv:
         (b"a,b\n1,inf\n2,\xe9\n", "line 2, column 2: not finite: 'inf'"),
         (b"a,b\n1,2\n1,2,3\n\xe9,2\n", "line 3: expected 2 fields, got 3"),
         (b"a,b\n\xe9,2\n", "line 2: not valid UTF-8: byte 0xe9 at position 1;"),
-    ], ids=["not-numeric", "not-finite", "ragged", "no-row-above"])
+        (b"a,b\r1,oops\r3,\xe9\r", "line 2, column 2: not numeric: 'oops'"),
+    ], ids=["not-numeric", "not-finite", "ragged", "no-row-above", "not-numeric-cr-endings"])
     def test_fault_above_a_byte_that_is_not_utf8_comes_first(self, tmp_path, content, where):
         # the text reader decodes ahead of the parser, so the bad byte is met
         # before the rows above it are parsed; they are read again

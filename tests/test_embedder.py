@@ -19,7 +19,7 @@ from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
 from cbmap.linalg_core import euclidean_distance_matrix, row_blocks, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
-from _util import two_blobs
+from _util import lifted_roll, two_blobs
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +370,75 @@ def test_count_that_is_not_a_whole_number_is_named(call, name, value):
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+class TestCenterDistances:
+    """From ``_EXPANDED_MIN_D`` columns on, fit and transform take their
+    point-to-center distances from one matrix product."""
+
+    @staticmethod
+    def _rows_and_centers(offset):
+        # rows of a lifted roll, its rows that are centers, and rows about
+        # midway between two centers, which the rounding may not tell apart
+        rng = np.random.default_rng(3)
+        x = lifted_roll(300, 32, seed=3)
+        centers = x[rng.choice(300, 12, replace=False)]
+        pairs = rng.integers(0, 12, size=(300, 2))
+        midway = (centers[pairs[:, 0]] + centers[pairs[:, 1]]) / 2.0
+        return np.vstack([x, midway]) + offset, centers + offset
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_within_1e_9_of_the_exact_kernel_with_the_same_nearest_center(
+            self, monkeypatch, offset):
+        rows, centers = self._rows_and_centers(offset)
+        rechecked = []
+
+        def exact(a, b, squared=False):
+            rechecked.append(len(a))
+            return euclidean_distance_matrix(a, b, squared=squared)
+
+        monkeypatch.setattr(em, "euclidean_distance_matrix", exact)
+        got = em._center_distances(rows, centers)
+        expected = euclidean_distance_matrix(rows, centers)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(expected, axis=1))
+        np.testing.assert_array_equal(got == 0.0, expected == 0.0)
+        # an offset of 1e6 leaves every row to the exact kernel; without it,
+        # only the rows on or about midway between centers go back to it
+        if offset:
+            assert sum(rechecked) == len(rows)
+        else:
+            assert (expected == 0.0).any(axis=1).sum() <= sum(rechecked) < len(rows) / 2
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e200])
+    def test_extreme_magnitudes_match_the_exact_kernel(self, scale):
+        rows, centers = self._rows_and_centers(0.0)
+        rows, centers = rows * scale, centers * scale
+        got = em._center_distances(rows, centers)
+        expected = euclidean_distance_matrix(rows, centers)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(expected, axis=1))
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_narrow_rows_take_the_exact_kernel(self, d):
+        rows = np.random.default_rng(d).normal(size=(50, d))
+        got = em._center_distances(rows, rows[:6])
+        assert got.tobytes() == euclidean_distance_matrix(rows, rows[:6]).tobytes()
+
+    def test_fit_and_transform_agree_with_the_exact_path(self, monkeypatch):
+        x = lifted_roll(700, 32, seed=4)
+        cfg = cbmap.CbmapConfig(n_clusters=12, max_iter=60, seed=1)
+        runs = []
+        for min_d in (em._EXPANDED_MIN_D, x.shape[1] + 1):  # then the exact kernel
+            monkeypatch.setattr(em, "_EXPANDED_MIN_D", min_d)
+            result = cbmap.fit(x[:600], cfg)
+            runs.append((result, cbmap.transform(result.model, x[600:], iters=60)))
+        (fast, fast_new), (exact, exact_new) = runs
+        assert fast.labels.tobytes() == exact.labels.tobytes()
+        assert fast.model.sigma_high == pytest.approx(exact.model.sigma_high, rel=1e-12)
+        np.testing.assert_allclose(fast.embedding, exact.embedding, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(fast.loss_history, exact.loss_history, rtol=1e-9)
+        np.testing.assert_allclose(fast_new, exact_new, rtol=0.0, atol=1e-9)
 
 
 class TestTransform:
