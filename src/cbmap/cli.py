@@ -228,11 +228,13 @@ def cmd_fit(args):
         fh.write("iteration,loss\n")
         for i, v in enumerate(result.loss_history):
             fh.write(f"{i},{float(v)!r}\n")
+    descended = int(result.sample.size)
     if args.verbose:
-        print(f"fit: k={k}, loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, "
-              f"wrote {out}", file=sys.stderr)
+        print(f"fit: k={k}, descended {descended} of {x.shape[0]} rows, loss "
+              f"{result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}, wrote {out}",
+              file=sys.stderr)
     config = {**source, "k": k, "dim": args.dim, "max_iter": args.max_iter,
-              "standardize": args.standardize}
+              "standardize": args.standardize, "descended_rows": descended}
     return config, [out, model_path, loss_path]
 
 

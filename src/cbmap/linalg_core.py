@@ -159,28 +159,41 @@ def fit_scaler(m) -> tuple[np.ndarray, np.ndarray]:
     zero. Computed, it can be rounding residue instead (1.4e-17 for three
     entries of 0.1), and dividing by that would scale the column to +-1.
 
-    The squared deviations are formed a block of rows at a time, and each
-    block is summed below the running sum, so the additions run row by row
-    as in ``m.std(axis=0)``, whose bits they keep for two or more columns.
-    numpy sums a single column pairwise instead, so one column longer than a
-    block can differ from it in the last place.
+    Each column is first divided by the power of two at or above its largest
+    magnitude, which is exact, so its squares neither overflow nor vanish at
+    any magnitude, and the mean and deviation are scaled back at the end.
+    The sums run a block of rows at a time, each block summed below the
+    running sum, so the additions run row by row as in ``m.mean(axis=0)`` and
+    ``m.std(axis=0)``, whose bits they keep for two or more columns of normal
+    floats. numpy sums a single column pairwise instead, so one column longer
+    than a block can differ from it in the last place.
     """
+    n = m.shape[0]
+    hi, lo = m.max(axis=0), m.min(axis=0)
+    exp = np.frexp(np.maximum(hi, -lo))[1]
+    mean = _scaled_column_sums(m, -exp) / n
+    std = np.sqrt(_scaled_column_sums(m, -exp, mean) / n)
+    std[hi == lo] = 0.0
+    return np.ldexp(mean, exp), np.ldexp(std, exp)
+
+
+def _scaled_column_sums(m, exp, mean=None) -> np.ndarray:
+    """Column sums of ``m * 2**exp``, or with ``mean`` of its squared deviations
+    from ``mean``, summed row by row over blocks of rows."""
     n, d = m.shape
-    mean = m.mean(axis=0)
-    # row 0 holds the running sum, the rows below it one block's squared deviations
+    # row 0 holds the running sum, the rows below it one block's terms
     buf = np.empty((max_block_rows(n, d) + 1, d))
     total = None
     for rows in row_blocks(n, d):
         block = m[rows]
-        sq = buf[1:1 + len(block)]
-        np.square(np.subtract(block, mean, out=sq), out=sq)
+        terms = np.ldexp(block, exp, out=buf[1:1 + len(block)])
+        if mean is not None:
+            np.square(np.subtract(terms, mean, out=terms), out=terms)
         if total is not None:
             buf[0] = total
-            sq = buf[:1 + len(block)]
-        total = np.add.reduce(sq, axis=0)
-    std = np.sqrt(total / n)
-    std[m.max(axis=0) == m.min(axis=0)] = 0.0
-    return mean, std
+            terms = buf[:1 + len(block)]
+        total = np.add.reduce(terms, axis=0)
+    return total
 
 
 def apply_scaler(m, mean, std) -> np.ndarray:

@@ -213,8 +213,8 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: squared distances overflow float64; rescale the input"]
 
-    def test_fit_whose_model_fails_to_save_leaves_no_output(self, tmp_path, capsys):
-        # input scaled below 1e-154 fits, but to a sigma_high the model reader rejects
+    def test_input_too_small_to_fit_is_named_and_leaves_no_output(self, tmp_path, capsys):
+        # below 1e-154 the bandwidth leaves the range the descent can resolve
         curve = cbmap.make_s_curve(200, seed=0)
         table = tmp_path / "tiny.csv"
         write_csv(table, curve.data * 1e-160, curve.labels)
@@ -223,9 +223,45 @@ class TestFit:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: model field 'sigma_high' must be at least 1.492e-154")
+        assert err[0].startswith("error: the input x is too small in scale: its points lie "
+                                 "about 1.887e-160 from their centers, below the 1.492e-154")
+        assert err[0].endswith("rescale it (cbmap fit --standardize does)")
         # no embedding, model, loss or manifest file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-180])
+    def test_standardize_fits_data_at_extreme_scales(self, tmp_path, capsys, scale):
+        # the scaler's squares overflowed at 1e160 and vanished at 1e-180
+        curve = cbmap.make_s_curve(200, seed=0)
+        embeddings = []
+        for name, factor in (("plain", 1.0), ("scaled", scale)):
+            table = tmp_path / f"{name}.csv"
+            write_csv(table, curve.data * factor, curve.labels)
+            out = tmp_path / f"{name}_emb.csv"
+            assert main(["fit", str(table), "--k", "5", "--max-iter", "30", "--label-col",
+                         "label", "--standardize", "-o", str(out)]) == 0
+            embeddings.append(load_csv(out, label_column="label").data)
+        assert capsys.readouterr().err == ""
+        # the CSV's decimal digits round the scaled values differently
+        np.testing.assert_allclose(embeddings[1], embeddings[0], rtol=0.0, atol=1e-10)
+
+    def test_fit_above_the_sample_threshold_is_reproducible(self, tmp_path, capsys):
+        roll = cbmap.make_swiss_roll(3000, seed=1)
+        table = tmp_path / "roll.csv"
+        write_csv(table, roll.data, roll.labels)
+        runs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / f"{name}.csv"
+            assert main(["fit", str(table), "--k", "20", "--max-iter", "30", "--label-col",
+                         "label", "-v", "-o", str(out)]) == 0
+            runs.append([out.read_bytes(), (tmp_path / f"{name}.model.json").read_bytes(),
+                         (tmp_path / f"{name}.loss.csv").read_bytes()])
+        assert runs[0] == runs[1]
+        descended = json.loads((tmp_path / "r1.csv.manifest.json").read_text())[
+            "config"]["descended_rows"]
+        assert abs(descended - 2048) <= 20
+        assert capsys.readouterr().err.splitlines()[0].startswith(
+            f"fit: k=20, descended {descended} of 3000 rows, loss ")
 
     def test_standardize_is_recorded_and_applied(self, tmp_path):
         data, _ = two_blobs(50, seed=20)
@@ -991,7 +1027,7 @@ class TestManifest:
              {"dataset", "n_per", "gap"}),
             (["fit", str(table), "--k", "4", "--max-iter", "20", "--label-col", "label",
               "-o", str(emb)],
-             {"k", "dim", "max_iter", "standardize"}),
+             {"k", "dim", "max_iter", "standardize", "descended_rows"}),
             (["transform", str(tmp_path / "emb.model.json"), str(table), "--label-col", "3",
               "--iters", "10", "-o", str(tmp_path / "proj.csv")],
              {"model", "iters"}),

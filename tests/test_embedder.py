@@ -1,6 +1,7 @@
 """Tests for the fit/transform loop, Adam, and model serialization."""
 
 import copy
+import hashlib
 import json
 import re
 import tracemalloc
@@ -240,9 +241,11 @@ class TestFit:
                     "the points lie beyond +-1e+150 after descent step 1")):
                 em._descent_step(y, centers, sigma, u_high, state, 1)
 
-    def test_memory_holds_about_two_membership_arrays(self):
-        # the (k, n) high- and low-dimensional memberships, and beside them
-        # only the descent's (n, 2) arrays and blocks of bounded size
+    def test_memory_holds_the_distances_and_the_sample_memberships(self):
+        # the (n, k) distances the bandwidth reads, the one-byte finiteness
+        # mask of its input check and the (n,) labels; then the sample's
+        # (s, k) distances and (k, s) memberships, and in the descent two
+        # (k, s) memberships and blocks of bounded size
         x = cbmap.make_swiss_roll(20_000, seed=0).data
         k, n = 40, x.shape[0]
         cbmap.fit(x[:500], cbmap.CbmapConfig(n_clusters=5, max_iter=2))  # one-time set-up
@@ -252,7 +255,7 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.4 * k * n * 8
+        assert peak < n * k * 9 + n * 8 + 3 * k * em.FIT_SAMPLE_ROWS * 8
 
     def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
         # per iteration: the step's distance call (2) and loss_gradient (2),
@@ -294,6 +297,60 @@ class TestFit:
         with pytest.raises(ValueError, match="disagrees"):
             cbmap.fit(np.random.default_rng(0).normal(size=(10, 3)),
                       cbmap.CbmapConfig(n_clusters=3, clustering=KmeansConfig(k=4)))
+
+
+class TestFitSample:
+    def test_fit_at_the_threshold_keeps_its_bits(self):
+        # checksums of the fit before fit descended a sample
+        x = cbmap.make_swiss_roll(em.FIT_SAMPLE_ROWS, seed=4).data
+        result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=60, seed=3))
+        model = result.model
+
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+        assert digest(result.embedding) == "5d0086166ac774c6"
+        assert digest(result.loss_history) == "dbb22d9222cac9d9"
+        assert digest(model.centers_high, model.centers_low,
+                      np.array([model.sigma_high, model.sigma_low])) == "5ddf454d4da70b41"
+        np.testing.assert_array_equal(result.sample, np.arange(em.FIT_SAMPLE_ROWS))
+
+    def test_rows_outside_the_sample_are_placed_by_transform(self):
+        x = cbmap.make_swiss_roll(3000, seed=5).data
+        result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=40, seed=2))
+        seed_sample = np.random.SeedSequence(2).spawn(3)[2]
+        np.testing.assert_array_equal(result.sample, em._fit_sample(result.labels, seed_sample))
+        rest = np.setdiff1d(np.arange(3000), result.sample)
+        assert rest.size == 3000 - result.sample.size > 0
+        np.testing.assert_allclose(
+            result.embedding[rest],
+            cbmap.transform(result.model, x[rest], iters=em.FIT_REST_ITERS),
+            rtol=0.0, atol=1e-12)
+
+    def test_every_cluster_keeps_a_row_and_the_sample_holds_about_the_constant(self):
+        k, n = 40, 50_000
+        labels = np.random.default_rng(6).integers(0, k - 1, n)
+        labels[12_345] = k - 1  # a one-row cluster
+        sample = em._fit_sample(labels, np.random.SeedSequence(0))
+        assert 12_345 in sample
+        assert abs(sample.size - em.FIT_SAMPLE_ROWS) <= k
+        assert np.all(np.diff(sample) > 0)
+        counts = np.bincount(labels)
+        np.testing.assert_array_equal(np.bincount(labels[sample]),
+                                      np.maximum(1, em.FIT_SAMPLE_ROWS * counts // n))
+
+    def test_every_row_is_descended_up_to_the_threshold(self):
+        labels = np.random.default_rng(7).integers(0, 5, em.FIT_SAMPLE_ROWS)
+        np.testing.assert_array_equal(em._fit_sample(labels, np.random.SeedSequence(1)),
+                                      np.arange(em.FIT_SAMPLE_ROWS))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_roll_of_5000_rows_keeps_its_quality(self, seed):
+        roll = cbmap.make_swiss_roll(5000, seed=seed)
+        result = cbmap.fit(roll.data, cbmap.CbmapConfig(n_clusters=40, max_iter=200, seed=seed))
+        assert result.sample.size < 5000
+        assert global_score(roll.data, result.embedding) >= 0.96
+        assert knn_accuracy(result.embedding, roll.labels) >= 0.97
 
 
 class TestCbmapConfig:
