@@ -32,6 +32,8 @@ N_INIT = 3
 # bound is within _EXPANDED_RTOL of it.
 _EXPANDED_MIN_D = 8
 _EXPANDED_RTOL = 1e-9
+# assign_labels takes this many rows at a time (a row's argmin is its own), as fit descends
+_ASSIGN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,14 @@ def assign_labels(x, centers) -> np.ndarray:
     paths' errors (the exact kernel's is ``(d + 3) eps N``) and of the ``4 eps N`` within
     which squares can share a square root. The exact kernel recomputes the other rows.
     """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] <= _ASSIGN_ROWS:
+        return _assign_block(x, centers)
+    return np.concatenate([_assign_block(x[start:start + _ASSIGN_ROWS], centers)
+                           for start in range(0, x.shape[0], _ASSIGN_ROWS)])
+
+
+def _assign_block(x, centers) -> np.ndarray:
     if np.ndim(x) != 2 or np.shape(x)[1] < _EXPANDED_MIN_D:
         return np.argmin(euclidean_distance_matrix(x, centers), axis=1)
     # named as the exact kernel names them, so errors read alike on both paths

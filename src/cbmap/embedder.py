@@ -98,17 +98,17 @@ class CbmapModel:
 
     centers_high: np.ndarray  # (k, d)
     centers_low: np.ndarray  # (k, m)
-    sigma_high: float
+    sigma_high: float  # from the distances of the rows fit descended (FitResult.sample)
     sigma_low: float
     feature_scaler: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std) of the raw input
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """What :func:`fit` returns. ``loss_history`` is the loss of the rows the
-    descent moved, ``sample``: every row up to ``FIT_SAMPLE_ROWS`` rows, else
-    about that many, and the others were placed by :func:`transform`'s
-    descent against the fitted model."""
+    """What :func:`fit` returns. ``loss_history`` and ``model.sigma_high`` come
+    from the rows the descent moved, ``sample``: every row up to
+    ``FIT_SAMPLE_ROWS`` rows, else about that many, and the others were placed
+    by :func:`transform`'s descent against the fitted model."""
 
     embedding: np.ndarray  # (n, m)
     loss_history: np.ndarray  # (max_iter,)
@@ -225,11 +225,11 @@ def _fit_sample(labels, seed) -> np.ndarray:
 def fit(x, cfg: CbmapConfig) -> FitResult:
     """Embed ``x`` into ``cfg.out_dim`` dimensions.
 
-    Steps: cluster and estimate the high-dimensional bandwidth on every row,
-    then draw the rows to descend (all of them up to ``FIT_SAMPLE_ROWS``,
-    else about that many, a share of each cluster; see :func:`_fit_sample`)
-    and form their high-dimensional membership matrix once, start the
-    low-dimensional centers at the z-scored PCA projection of the
+    Steps: cluster every row, then draw the rows to descend (all of them up
+    to ``FIT_SAMPLE_ROWS``, else about that many, a share of each cluster;
+    see :func:`_fit_sample`), estimate the high-dimensional bandwidth from
+    their distances to the centers and form their membership matrix once,
+    start the low-dimensional centers at the z-scored PCA projection of the
     high-dimensional ones (or, when ``n_clusters <= out_dim`` leaves too few
     to span it, at a z-scored seeded Gaussian draw, with a warning) and the
     descended points around them, then iterate: recompute the
@@ -256,20 +256,24 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     labels = assignment.labels
     centers_high = assignment.centers
 
-    dist_high = _center_distances(x, centers_high)
-    s_high = mb.sigma_high(dist_high)
+    # Independent streams for the center draw, the point-noise draw and the sample.
+    seed_centers, seed_points, seed_sample = np.random.SeedSequence(cfg.seed).spawn(3)
+    sample = _fit_sample(labels, seed_sample)
+    if sample.size < n:  # the descended rows' distances, a row block at a time: no copy of x
+        dist_high = np.empty((sample.size, cfg.n_clusters))
+        for part in row_blocks(sample.size, d):
+            dist_high[part] = _center_distances(x[sample[part]], centers_high)
+    else:
+        dist_high = _center_distances(x, centers_high)
+    # distances that all underflow to 0 between rows that differ are a matter of scale
+    s_high = 0.0 if dist_high.max() == 0 and np.ptp(x, axis=0).any() else mb.sigma_high(dist_high)
     if s_high < _MIN_BANDWIDTH:
         raise ValueError(f"the input x is too small in scale: its points lie about "
                          f"{s_high:.4g} from their centers, below the {_MIN_BANDWIDTH:.4g} "
                          "the descent can resolve; rescale it (cbmap fit --standardize does)")
-
-    # Independent streams for the center draw, the point-noise draw and the sample.
-    seed_centers, seed_points, seed_sample = np.random.SeedSequence(cfg.seed).spawn(3)
-    sample = _fit_sample(labels, seed_sample)
-    descended = sample if sample.size < n else slice(None)  # no copies of every row
-    sample_labels = labels[descended]
+    sample_labels = labels[sample]
     # the transpose of the (s, k) distances gives the (k, s) memberships directly
-    u_high = mb.membership_matrix(dist_high[descended].T, s_high)
+    u_high = mb.membership_matrix(dist_high.T, s_high)
     del dist_high
     if cfg.n_clusters > cfg.out_dim:
         centers_low = pca_transform(pca_fit(centers_high, cfg.out_dim), centers_high)
@@ -290,6 +294,7 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
         centers_low = update_centers(y, sample_labels, centers_low)
         centers_low = apply_scaler(centers_low, *fit_scaler(centers_low))
         s_low = mb._sigma_low(centers_low)
+    del u_high, state  # so they do not sit beside each placement block
 
     model = CbmapModel(centers_high, centers_low, s_high, s_low)
     embedding = y

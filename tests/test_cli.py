@@ -229,6 +229,24 @@ class TestFit:
         # no embedding, model, loss or manifest file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
 
+    @pytest.mark.parametrize("rows, message", [
+        ("underflowing", "error: the input x is too small in scale: its points lie about 0 "
+                         "from their centers, below the 1.492e-154 the descent can resolve; "
+                         "rescale it (cbmap fit --standardize does)"),
+        ("identical", "error: all point-to-center distances are zero; cannot estimate a "
+                      "bandwidth"),
+    ])
+    def test_zero_distances_are_named_by_their_cause(self, tmp_path, capsys, rows, message):
+        # at 1e-180 the rows still differ, but every squared distance underflows to 0
+        curve = cbmap.make_s_curve(200, seed=0)
+        data = curve.data * 1e-180 if rows == "underflowing" else np.ones((200, 3))
+        table = tmp_path / "zero.csv"
+        write_csv(table, data, curve.labels)
+        code = main(["fit", str(table), "--k", "5", "--max-iter", "30", "--label-col", "label",
+                     "-o", str(tmp_path / "ze.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     @pytest.mark.parametrize("scale", [1e160, 1e-180])
     def test_standardize_fits_data_at_extreme_scales(self, tmp_path, capsys, scale):
         # the scaler's squares overflowed at 1e160 and vanished at 1e-180

@@ -126,6 +126,41 @@ class TestExpandedAssignment:
             assert fast.inertia == exact.inertia
 
 
+class TestBlockedAssignment:
+    """Above ``_ASSIGN_ROWS`` rows the labels are taken a block of rows at a
+    time, and each row's is still the whole-matrix argmin's."""
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("data", ["roll", "lifted-roll", "highdim-plus-1e6"])
+    def test_labels_equal_the_whole_matrix_argmin(self, monkeypatch, data, duplicated):
+        n = 2 * cl._ASSIGN_ROWS + 7  # two whole blocks and part of a third
+        if data == "roll":
+            x = make_swiss_roll(n, seed=4).data
+        elif data == "lifted-roll":
+            x = lifted_roll(n, 32, seed=4)
+        else:  # perfbench's highdim width, where the product settles no row
+            x = lifted_roll(n, 256, seed=4) + 1e6
+        centers = x[np.random.default_rng(42).choice(n, 20, replace=False)]
+        if duplicated:
+            centers = np.vstack([centers, centers])  # every row ties; the lower index wins
+        expected = np.argmin(euclidean_distance_matrix(x, centers), axis=1)
+        rows = []
+
+        def recorded(kernel):
+            def wrapper(a, b, *args):
+                rows.append(len(a))
+                return kernel(a, b, *args)
+            return wrapper
+
+        monkeypatch.setattr(cl, "euclidean_distance_matrix", recorded(euclidean_distance_matrix))
+        monkeypatch.setattr(cl, "_expanded_sq_distances", recorded(_expanded_sq_distances))
+        got = cl.assign_labels(x, centers)
+        assert got.tobytes() == expected.tobytes()
+        assert 0 < max(rows) <= cl._ASSIGN_ROWS
+        if duplicated:
+            assert got.max() < 20
+
+
 class TestWideSeeding:
     """From ``_EXPANDED_MIN_D`` columns on, k-means++ takes its squared
     distances from one matrix-vector product per drawn center."""
@@ -266,6 +301,22 @@ class TestKmeansFit:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes / 2
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_memory_holds_no_distances_of_every_row(self, d):
+        # 20,000 rows run the mini-batch driver, whose last assignment takes
+        # every row; (n, k) distances would be 20,000 * k * 8 bytes
+        n, k = 20_000, 40
+        x = make_swiss_roll(n, seed=0).data if d == 3 else lifted_roll(n, d, seed=0)
+        assert n >= cl.FULL_BATCH_LIMIT
+        cl.kmeans_fit(x[:100], cl.KmeansConfig(k=5))  # one-time set-up
+        tracemalloc.start()
+        try:
+            cl.kmeans_fit(x, cl.KmeansConfig(k=k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * cl._ASSIGN_ROWS * 8 + 48 * n
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minibatch_agrees_with_full_on_blobs(self, blob_data, seed, monkeypatch):

@@ -18,7 +18,7 @@ import cbmap
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
-from cbmap.linalg_core import euclidean_distance_matrix, row_blocks, zscore_normalize
+from cbmap.linalg_core import block_rows, euclidean_distance_matrix, row_blocks, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
 from _util import lifted_roll, two_blobs
 
@@ -241,21 +241,24 @@ class TestFit:
                     "the points lie beyond +-1e+150 after descent step 1")):
                 em._descent_step(y, centers, sigma, u_high, state, 1)
 
-    def test_memory_holds_the_distances_and_the_sample_memberships(self):
-        # the (n, k) distances the bandwidth reads, the one-byte finiteness
-        # mask of its input check and the (n,) labels; then the sample's
-        # (s, k) distances and (k, s) memberships, and in the descent two
-        # (k, s) memberships and blocks of bounded size
-        x = cbmap.make_swiss_roll(20_000, seed=0).data
-        k, n = 40, x.shape[0]
+    def test_memory_grows_with_the_rows_not_with_rows_times_clusters(self):
+        # the sample's (s, k) distances and memberships, the descent's (k, s)
+        # arrays and blocks of bounded size, and (n,) vectors: the labels, the
+        # rows left out and the (n, 2) output; no (n, k) array of any kind
+        x = cbmap.make_swiss_roll(40_000, seed=0).data
+        k = 40
         cbmap.fit(x[:500], cbmap.CbmapConfig(n_clusters=5, max_iter=2))  # one-time set-up
-        tracemalloc.start()
-        try:
-            cbmap.fit(x, cbmap.CbmapConfig(n_clusters=k, max_iter=2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * k * 9 + n * 8 + 3 * k * em.FIT_SAMPLE_ROWS * 8
+        peaks = {}
+        for n in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                cbmap.fit(x[:n], cbmap.CbmapConfig(n_clusters=k, max_iter=2))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20_000] < 3 * k * em.FIT_SAMPLE_ROWS * 8 + 48 * 20_000
+        # an (n, k) array would add 20,000 * k * 8 bytes
+        assert peaks[40_000] - peaks[20_000] < 48 * 20_000
 
     def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
         # per iteration: the step's distance call (2) and loss_gradient (2),
@@ -326,6 +329,19 @@ class TestFitSample:
             result.embedding[rest],
             cbmap.transform(result.model, x[rest], iters=em.FIT_REST_ITERS),
             rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_bandwidth_above_the_threshold_comes_from_the_sample(self, d):
+        x = cbmap.make_swiss_roll(3000, seed=8).data if d == 3 else lifted_roll(3000, d, seed=8)
+        result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=2, seed=1))
+        assert result.sample.size < 3000
+        # at up to 16 columns one row block holds the whole sample, so the
+        # wide path's matrix product is the same one fit takes
+        assert result.sample.size <= block_rows(d)
+        dist = em._center_distances(x[result.sample], result.model.centers_high)
+        assert result.model.sigma_high == mb.sigma_high(dist)
+        every_row = mb.sigma_high(euclidean_distance_matrix(x, result.model.centers_high))
+        assert result.model.sigma_high == pytest.approx(every_row, rel=0.01)
 
     def test_every_cluster_keeps_a_row_and_the_sample_holds_about_the_constant(self):
         k, n = 40, 50_000
