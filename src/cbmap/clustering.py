@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import (
-    _expanded_sq_distances,
-    as_data_matrix,
-    check_count,
-    euclidean_distance_matrix,
-    row_blocks,
-)
+from .linalg_core import as_data_matrix, check_count, euclidean_distance_matrix, row_blocks
 
 # kmeans_fit keeps the best of N_INIT Lloyd runs below FULL_BATCH_LIMIT rows,
 # and from there on runs mini-batches of BATCH_SIZE rows.
@@ -25,11 +19,10 @@ FULL_BATCH_LIMIT = 5000
 BATCH_SIZE = 1024
 N_INIT = 3
 
-# From this many columns on, k-means and embedder's point-to-center distances take
-# matrix products. Narrower inputs keep the exact kernel: with 2 BLAS threads, the
-# threads a product wakes slowed the descent after k-means (5000-row roll fit
-# 0.65-0.84 s against 0.63-0.71 s). A squared distance is kept where its rounding
-# bound is within _EXPANDED_RTOL of it.
+# From this many columns on, k-means' and embedder's point-to-center distances take
+# matrix products (_settled_sq_distances). Narrower inputs keep the exact kernel: with
+# 2 BLAS threads, the threads a product wakes slowed the descent after k-means
+# (5000-row roll fit 0.65-0.84 s against 0.63-0.71 s).
 _EXPANDED_MIN_D = 8
 _EXPANDED_RTOL = 1e-9
 # assign_labels takes this many rows at a time (a row's argmin is its own), as fit descends
@@ -61,12 +54,7 @@ def assign_labels(x, centers) -> np.ndarray:
     """Index of the nearest center per row; ties go to the smallest index.
 
     The labels are exactly ``np.argmin(euclidean_distance_matrix(x, centers), axis=1)``,
-    computed that way below ``_EXPANDED_MIN_D`` columns. From there on the squared
-    distances ``s`` come from one matrix product, within ``(d + 2) eps N`` of the true
-    values (``linalg_core._expanded_sq_distances``), and a row keeps the argmin of ``s``
-    if its two smallest values differ by over ``8 (d + 4) eps N``: twice the sum of both
-    paths' errors (the exact kernel's is ``(d + 3) eps N``) and of the ``4 eps N`` within
-    which squares can share a square root. The exact kernel recomputes the other rows.
+    from ``_EXPANDED_MIN_D`` columns on by way of :func:`_settled_sq_distances`.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] <= _ASSIGN_ROWS:
@@ -76,25 +64,53 @@ def assign_labels(x, centers) -> np.ndarray:
 
 
 def _assign_block(x, centers) -> np.ndarray:
-    if np.ndim(x) != 2 or np.shape(x)[1] < _EXPANDED_MIN_D:
-        return np.argmin(euclidean_distance_matrix(x, centers), axis=1)
-    # named as the exact kernel names them, so errors read alike on both paths
-    x = as_data_matrix(x, "a")
-    centers = as_data_matrix(centers, "b")
+    if np.ndim(x) == 2 and np.shape(x)[1] >= _EXPANDED_MIN_D:
+        # checked as the exact kernel checks them, so errors read alike on both paths
+        x, centers = as_data_matrix(x, "a"), as_data_matrix(centers, "b")
+        if centers.shape[1] == x.shape[1]:  # else the exact kernel raises the mismatch
+            return np.argmin(_settled_sq_distances(x, centers, nearest_only=True), axis=1)
+    return np.argmin(euclidean_distance_matrix(x, centers), axis=1)
+
+
+def _settled_sq_distances(x, centers, x_sq=None, nearest_only=False):
+    """The (n, k) squared distances from the checked rows of ``x`` to ``centers``, or
+    None below ``_EXPANDED_MIN_D`` columns, where the caller takes the exact kernel.
+
+    One matrix product gives them (``x_sq`` may give the ``|x_i|^2``) within
+    ``e = (d + 2) eps N``, ``N = |x_i|^2 + max_j |c_j|^2 + tiny`` (the norms and the
+    product each err by at most ``(d - 1) eps N / 2``, the additions by ``2 eps N``).
+    The exact kernel recomputes, a row block at a time, each row whose ``e`` exceeds
+    ``_EXPANDED_RTOL`` times its smallest value, or whose smallest value is not below
+    ``1 - 4 _EXPANDED_RTOL`` times the next, so the values are within ``_EXPANDED_RTOL``
+    and each row's nearest center is the exact kernel's. With ``nearest_only`` only the
+    argmin of each row is meant: the exact kernel recomputes each row whose two smallest
+    values differ by at most ``8 (d + 4) eps N``, twice the sum of both paths' errors (the
+    exact kernel's is ``(d + 3) eps N``) and of the ``4 eps N`` within which squares can
+    share a square root, and its distances, not their squares, stand in those rows.
+    """
     d = x.shape[1]
-    if centers.shape[1] != d:
-        return np.argmin(euclidean_distance_matrix(x, centers), axis=1)  # raises the mismatch
-    s, err = _expanded_sq_distances(x, centers)
-    labels = np.argmin(s, axis=1)
-    every = np.arange(x.shape[0])
-    best = s[every, labels]
-    s[every, labels] = np.inf
-    with np.errstate(invalid="ignore"):
-        gap = s.min(axis=1) - best
-    near = np.flatnonzero(~(gap > 8 * (d + 4) / (d + 2) * err))
+    if d < _EXPANDED_MIN_D:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = np.einsum("ij,ij->i", x, x) if x_sq is None else x_sq
+        c_sq = np.einsum("ij,ij->i", centers, centers)
+        sq = x @ centers.T
+        sq *= -2.0
+        sq += x_sq[:, None]
+        sq += c_sq
+        err = (d + 2) * np.finfo(float).eps * (x_sq + c_sq.max() + np.finfo(float).tiny)
+        # a row's two smallest values; with one center nothing comes next
+        first, second = (np.partition(sq, 1, axis=1)[:, :2].T if len(centers) > 1
+                         else (sq[:, 0], np.inf))
+        if nearest_only:
+            settled = second - first > 8 * (d + 4) / (d + 2) * err
+        else:
+            settled = ((err <= _EXPANDED_RTOL * first)
+                       & (first < (1 - 4 * _EXPANDED_RTOL) * second))
+    near = np.flatnonzero(~settled)
     for rows in (near[part] for part in row_blocks(near.size, d)):  # blocks, no copy of x
-        labels[rows] = np.argmin(euclidean_distance_matrix(x[rows], centers), axis=1)
-    return labels
+        sq[rows] = euclidean_distance_matrix(x[rows], centers, squared=not nearest_only)
+    return sq
 
 
 def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
@@ -126,24 +142,17 @@ def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
 
 def _kmeans_plusplus(x, k, rng):
     """Seed centers at data points, weighting draws by squared distance to the
-    nearest center chosen so far; wide inputs take one matrix-vector product per draw
-    and recompute exactly the rows not within ``_EXPANDED_RTOL``, coincident ones too."""
+    nearest center chosen so far; wide inputs take one matrix-vector product per draw."""
     n, d = x.shape
     centers = np.empty((k, d))
     centers[0] = x[int(rng.integers(n))]
     closest_sq = np.full(n, np.inf)
-    x_sq = np.einsum("ij,ij->i", x, x) if d >= _EXPANDED_MIN_D else None
+    x_sq = np.einsum("ij,ij->i", x, x)
     for j in range(1, k):
         # only the draw of a next center needs the distance to the last one
         last = centers[j - 1 : j]
-        if x_sq is None:
-            new_sq = euclidean_distance_matrix(x, last)[:, 0] ** 2
-        else:
-            new_sq, err = _expanded_sq_distances(x, last, x_sq)
-            new_sq = new_sq[:, 0]
-            near = np.flatnonzero(~(err <= _EXPANDED_RTOL * new_sq))
-            for rows in (near[part] for part in row_blocks(near.size, d)):  # blocks, no copy of x
-                new_sq[rows] = euclidean_distance_matrix(x[rows], last)[:, 0] ** 2
+        new_sq = _settled_sq_distances(x, last, x_sq)
+        new_sq = euclidean_distance_matrix(x, last)[:, 0] ** 2 if new_sq is None else new_sq[:, 0]
         np.minimum(closest_sq, new_sq, out=closest_sq)
         total = closest_sq.sum()
         if not np.isfinite(total):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import membership as mb
-from .clustering import _EXPANDED_MIN_D, _EXPANDED_RTOL, KmeansConfig, kmeans_fit, update_centers
+from .clustering import KmeansConfig, _settled_sq_distances, kmeans_fit, update_centers
 from .datasets import _utf8_error
 from .linalg_core import (
-    _expanded_sq_distances,
     apply_scaler,
     as_data_matrix,
     block_rows,
@@ -195,18 +194,18 @@ def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
 
 
 def _center_distances(x, centers) -> np.ndarray:
-    """The (n, k) distances from the checked rows of ``x`` to ``centers``; wide inputs recompute
-    exactly each row not within ``_EXPANDED_RTOL`` or not clear of a tie by 4 times that."""
-    if x.shape[1] < _EXPANDED_MIN_D:
-        return euclidean_distance_matrix(x, centers)
-    sq, err = _expanded_sq_distances(x, centers)
-    kth = min(1, sq.shape[1] - 1)  # the second smallest; one center has no gap
-    first, second = np.partition(sq, kth, axis=1)[:, [0, kth]].T
-    near = np.flatnonzero(~((err <= _EXPANDED_RTOL * first)
-                            & (first < (1 - 4 * _EXPANDED_RTOL) * second)))
-    for rows in (near[part] for part in row_blocks(near.size, x.shape[1])):  # no copy of x
-        sq[rows] = euclidean_distance_matrix(x[rows], centers, squared=True)
-    return np.sqrt(sq, out=sq)
+    """The (n, k) distances from the checked rows of ``x`` to ``centers``; wide rows'
+    are the square roots of :func:`clustering._settled_sq_distances`."""
+    sq = _settled_sq_distances(x, centers)
+    return euclidean_distance_matrix(x, centers) if sq is None else np.sqrt(sq, out=sq)
+
+
+def _row_distances(x, rows, centers) -> np.ndarray:
+    """:func:`_center_distances` of ``x[rows]``, a row block at a time: no copy of ``x``."""
+    dist = np.empty((rows.size, centers.shape[0]))
+    for part in row_blocks(rows.size, x.shape[1]):
+        dist[part] = _center_distances(x[rows[part]], centers)
+    return dist
 
 
 def _fit_sample(labels, seed) -> np.ndarray:
@@ -259,12 +258,8 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     # Independent streams for the center draw, the point-noise draw and the sample.
     seed_centers, seed_points, seed_sample = np.random.SeedSequence(cfg.seed).spawn(3)
     sample = _fit_sample(labels, seed_sample)
-    if sample.size < n:  # the descended rows' distances, a row block at a time: no copy of x
-        dist_high = np.empty((sample.size, cfg.n_clusters))
-        for part in row_blocks(sample.size, d):
-            dist_high[part] = _center_distances(x[sample[part]], centers_high)
-    else:
-        dist_high = _center_distances(x, centers_high)
+    dist_high = (_row_distances(x, sample, centers_high) if sample.size < n
+                 else _center_distances(x, centers_high))
     # distances that all underflow to 0 between rows that differ are a matter of scale
     s_high = 0.0 if dist_high.max() == 0 and np.ptp(x, axis=0).any() else mb.sigma_high(dist_high)
     if s_high < _MIN_BANDWIDTH:
@@ -305,7 +300,8 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
         step = transform_block_rows(model)
         for start in range(0, rest.size, step):
             rows = rest[start:start + step]
-            embedding[rows] = _transform_block(model, x[rows], FIT_REST_ITERS)
+            embedding[rows] = _transform_block(
+                model, _row_distances(x, rows, centers_high), FIT_REST_ITERS)
     return FitResult(embedding=embedding, loss_history=history, model=model, labels=labels,
                      sample=sample)
 
@@ -331,7 +327,11 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     y = np.empty((x.shape[0], model.centers_low.shape[1]))
     step = transform_block_rows(model)
     for start in range(0, x.shape[0], step):
-        y[start:start + step] = _transform_block(model, x[start:start + step], iters)
+        rows = x[start:start + step]
+        if model.feature_scaler is not None:
+            rows = as_data_matrix(apply_scaler(rows, *model.feature_scaler), "scaled x_new")
+        y[start:start + step] = _transform_block(
+            model, _center_distances(rows, model.centers_high), iters)
     return y
 
 
@@ -342,11 +342,9 @@ def transform_block_rows(model: CbmapModel) -> int:
     return block_rows(model.centers_high.shape[0], _TRANSFORM_CHUNKS)
 
 
-def _transform_block(model: CbmapModel, x, iters: int) -> np.ndarray:
-    """:func:`transform` of one block of checked rows."""
-    if model.feature_scaler is not None:
-        x = as_data_matrix(apply_scaler(x, *model.feature_scaler), "scaled x_new")
-    dist_high = _center_distances(x, model.centers_high)
+def _transform_block(model: CbmapModel, dist_high, iters: int) -> np.ndarray:
+    """:func:`transform` of one block of rows, given their (rows, k) distances to
+    ``model.centers_high``."""
     u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
     # argmax membership == argmin distance, and stays well defined when every
     # membership in a row underflows to zero

@@ -1,13 +1,14 @@
 """Tests for k-means clustering and label assignment."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cbmap import clustering as cl
 from cbmap.datasets import make_swiss_roll
-from cbmap.linalg_core import _CHUNK_ELEMS, _expanded_sq_distances, euclidean_distance_matrix
+from cbmap.linalg_core import _CHUNK_ELEMS, euclidean_distance_matrix
 from _util import disk_blobs, lifted_roll
 
 
@@ -90,9 +91,9 @@ class TestExpandedAssignment:
         ties = int(np.sum(nearest_two[:, 0] == nearest_two[:, 1]))
         rechecked = []
 
-        def exact(a, b):
+        def exact(a, b, squared=False):
             rechecked.append(len(a))
-            return euclidean_distance_matrix(a, b)
+            return euclidean_distance_matrix(a, b, squared=squared)
 
         monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
         got = cl.assign_labels(x, centers)
@@ -147,18 +148,149 @@ class TestBlockedAssignment:
         rows = []
 
         def recorded(kernel):
-            def wrapper(a, b, *args):
+            def wrapper(a, b, *args, **kwargs):
                 rows.append(len(a))
-                return kernel(a, b, *args)
+                return kernel(a, b, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(cl, "euclidean_distance_matrix", recorded(euclidean_distance_matrix))
-        monkeypatch.setattr(cl, "_expanded_sq_distances", recorded(_expanded_sq_distances))
+        monkeypatch.setattr(cl, "_settled_sq_distances", recorded(cl._settled_sq_distances))
         got = cl.assign_labels(x, centers)
         assert got.tobytes() == expected.tobytes()
         assert 0 < max(rows) <= cl._ASSIGN_ROWS
         if duplicated:
             assert got.max() < 20
+
+
+def _hard_cases():
+    """Rows and centers on which the matrix product is hard, by name."""
+    rng = np.random.default_rng(41)
+    rows, centers = rng.normal(size=(12, 16)), rng.normal(size=(5, 16))
+    return {
+        "offset-1e6": (rows + 1e6, centers + 1e6),
+        "spread-1e-8": (1.0 + 1e-8 * rows, 1.0 + 1e-8 * centers),
+        "scale-1e-160": (rows * 1e-160, centers * 1e-160),
+        "scale-1e150": (rows * 1e150, centers * 1e150),
+        "scale-1e200": (rows * 1e200, centers * 1e200),
+        # rows repeated, and rows that are the centers themselves
+        "duplicated-rows": (np.vstack([rows, rows[:4], centers[::-1]]), centers),
+    }
+
+
+def _exact_sq(a, b):
+    """The true squared distances between the rows of ``a`` and ``b``, as Fractions."""
+    fa = [[Fraction(v) for v in row] for row in a.tolist()]
+    fb = [[Fraction(v) for v in row] for row in b.tolist()]
+    return [[sum((p - q) ** 2 for p, q in zip(ra, rb)) for rb in fb] for ra in fa]
+
+
+def _record_exact(monkeypatch):
+    """Route clustering's exact-kernel calls through a recorder; returns the list
+    of the row blocks it was given."""
+    blocks = []
+
+    def exact(a, b, squared=False):
+        blocks.append(np.array(a))
+        return euclidean_distance_matrix(a, b, squared=squared)
+
+    monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
+    return blocks
+
+
+class TestSettledSqDistances:
+    """From ``_EXPANDED_MIN_D`` columns on, point-to-center distances come from one
+    matrix product, and the exact kernel recomputes the rows it does not settle."""
+
+    @pytest.mark.parametrize("case", sorted(_hard_cases()))
+    def test_every_value_is_the_exact_kernels_or_within_the_tolerance_of_the_true_one(
+            self, case):
+        a, b = _hard_cases()[case]
+        sq = cl._settled_sq_distances(a, b)
+        assert sq.shape == (len(a), len(b))
+        exact = euclidean_distance_matrix(a, b, squared=True)
+        truth = _exact_sq(a, b)
+        rtol = Fraction(cl._EXPANDED_RTOL)
+        for i in range(len(a)):
+            if sq[i].tobytes() == exact[i].tobytes():
+                continue  # recomputed, or the product agrees to the bit
+            for j in range(len(b)):
+                assert np.isfinite(sq[i, j])
+                assert abs(Fraction(sq[i, j]) - truth[i][j]) <= rtol * Fraction(sq[i, j])
+
+    @pytest.mark.parametrize("case", sorted(_hard_cases()))
+    def test_rows_it_settles_agree_with_the_exact_kernel(self, monkeypatch, case):
+        # the exact kernel is itself within (d + 3) eps of the true value
+        a, b = _hard_cases()[case]
+        exact = euclidean_distance_matrix(a, b, squared=True)
+        blocks = _record_exact(monkeypatch)
+        sq = cl._settled_sq_distances(a, b)
+        np.testing.assert_allclose(sq, exact, rtol=2e-9, atol=0.0)
+        recomputed = sorted(map(tuple, np.vstack([np.empty((0, a.shape[1]))] + blocks)))
+        # on spread-out data with no offset every row but a coincident one is
+        # settled; an offset, a tiny spread, or squares beyond the float64 range
+        # or below its normal numbers leave the rows to the exact kernel
+        if case == "duplicated-rows":
+            assert recomputed == sorted(map(tuple, a[exact.min(axis=1) == 0]))
+        else:
+            assert len(recomputed) == {"scale-1e150": 0}.get(case, len(a))
+
+    def test_given_row_norms_are_used_as_they_are(self):
+        a, b = _hard_cases()["duplicated-rows"]
+        a_sq = np.einsum("ij,ij->i", a, a)
+        for nearest_only in (False, True):
+            whole = cl._settled_sq_distances(a, b, nearest_only=nearest_only)
+            given_norms = cl._settled_sq_distances(a, b, a_sq, nearest_only=nearest_only)
+            assert given_norms.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_narrow_rows_are_left_to_the_callers_exact_kernel(self, d):
+        rows = np.random.default_rng(d).normal(size=(50, d))
+        assert cl._settled_sq_distances(rows, rows[:6]) is None
+        assert cl.assign_labels(rows, rows[:6]).tobytes() == np.argmin(
+            euclidean_distance_matrix(rows, rows[:6]), axis=1).tobytes()
+
+    @pytest.mark.parametrize("nearest_only", [False, True])
+    def test_rows_it_recomputes_are_the_exact_kernels_bit_for_bit(self, monkeypatch, nearest_only):
+        x, centers = _tie_grid(16, 1e6 + 0.1, seed=0)
+        blocks = _record_exact(monkeypatch)
+        sq = cl._settled_sq_distances(x, centers, nearest_only=nearest_only)
+        recomputed = set(map(tuple, np.vstack(blocks)))
+        assert 0 < len(recomputed)
+        # for the argmin alone, the distances stand, not their squares
+        exact = euclidean_distance_matrix(x, centers, squared=not nearest_only)
+        for i in range(len(x)):
+            if tuple(x[i]) in recomputed:
+                assert sq[i].tobytes() == exact[i].tobytes()
+
+    @pytest.mark.parametrize("nearest_only", [False, True])
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6 + 0.1])
+    def test_argmin_is_the_exact_kernels_on_near_ties(self, d, offset, nearest_only):
+        x, centers = _tie_grid(d, offset, seed=d)
+        sq = cl._settled_sq_distances(x, centers, nearest_only=nearest_only)
+        expected = np.argmin(euclidean_distance_matrix(x, centers), axis=1)
+        got = np.argmin(sq if nearest_only else np.sqrt(sq), axis=1)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_values_within_the_tolerance_and_a_coincident_row_at_zero(self):
+        x = lifted_roll(300, 32, seed=2)
+        centers = x[::25]  # rows 0, 25, ... lie on a center
+        sq = cl._settled_sq_distances(x, centers)
+        exact = euclidean_distance_matrix(x, centers, squared=True)
+        np.testing.assert_allclose(sq, exact, rtol=cl._EXPANDED_RTOL, atol=0.0)
+        np.testing.assert_array_equal(sq == 0.0, exact == 0.0)
+        assert (sq[::25][np.arange(len(centers)), np.arange(len(centers))] == 0.0).all()
+
+    def test_the_argmin_test_settles_highdim_rows_offset_by_1e3(self, monkeypatch):
+        # perfbench's highdim width and noise; the value test would settle none
+        x = lifted_roll(1500, 256, seed=0) + 1e3
+        centers = x[np.random.default_rng(0).choice(1500, 20, replace=False)]
+        expected = np.argmin(euclidean_distance_matrix(x, centers), axis=1)
+        blocks = _record_exact(monkeypatch)
+        sq = cl._settled_sq_distances(x, centers, nearest_only=True)
+        assert blocks == []
+        assert np.argmin(sq, axis=1).tobytes() == expected.tobytes()
+        assert cl.assign_labels(x, centers).tobytes() == expected.tobytes()
 
 
 class TestWideSeeding:
@@ -169,16 +301,17 @@ class TestWideSeeding:
     def test_one_matrix_vector_product_per_drawn_center(self, monkeypatch, k):
         x = lifted_roll(200, 16, seed=3)
         products, rechecks = [], []
+        settled = cl._settled_sq_distances
 
         def product(a, b, a_sq=None):
             products.append((a is x, b.shape, a_sq))
-            return _expanded_sq_distances(a, b, a_sq)
+            return settled(a, b, a_sq)
 
-        def exact(a, b):
+        def exact(a, b, squared=False):
             rechecks.append(a.copy())
-            return euclidean_distance_matrix(a, b)
+            return euclidean_distance_matrix(a, b, squared=squared)
 
-        monkeypatch.setattr(cl, "_expanded_sq_distances", product)
+        monkeypatch.setattr(cl, "_settled_sq_distances", product)
         monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
         centers = cl._kmeans_plusplus(x, k, np.random.default_rng(0))
         assert [(same, shape) for same, shape, _ in products] == [(True, (1, 16))] * (k - 1)

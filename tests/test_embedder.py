@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbmap
+from cbmap import clustering as cl
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
@@ -260,6 +261,23 @@ class TestFit:
         # an (n, k) array would add 20,000 * k * 8 bytes
         assert peaks[40_000] - peaks[20_000] < 48 * 20_000
 
+    def test_wide_rows_left_out_are_placed_without_a_copy_of_their_block(self):
+        # the rows outside the sample are placed one transform block of up to
+        # 1,638 rows at a time (k = 40); their distances are taken a row block
+        # at a time, so no (block, d) copy of x, 6.7 MB at d = 512, is held
+        x = lifted_roll(4000, 512, seed=0)
+        cfg = cbmap.CbmapConfig(n_clusters=40, max_iter=2,
+                                clustering=KmeansConfig(k=40, max_iters=2))
+        cbmap.fit(x[:300], cbmap.CbmapConfig(n_clusters=5, max_iter=2))  # one-time set-up
+        tracemalloc.start()
+        try:
+            result = cbmap.fit(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.sample.size < 4000
+        assert peak < em.transform_block_rows(result.model) * 512 * 8 / 2
+
     def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
         # per iteration: the step's distance call (2) and loss_gradient (2),
         # and the bandwidth's distance call (2); the loop's own centers are
@@ -318,17 +336,22 @@ class TestFitSample:
                       np.array([model.sigma_high, model.sigma_low])) == "5ddf454d4da70b41"
         np.testing.assert_array_equal(result.sample, np.arange(em.FIT_SAMPLE_ROWS))
 
-    def test_rows_outside_the_sample_are_placed_by_transform(self):
-        x = cbmap.make_swiss_roll(3000, seed=5).data
-        result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=40, seed=2))
+    @pytest.mark.parametrize("d", [3, 784])
+    def test_rows_outside_the_sample_are_placed_by_transform(self, d):
+        x, kcfg = cbmap.make_swiss_roll(3000, seed=5).data, None
+        if d > 3:  # a few Lloyd passes keep the wide case quick
+            x, kcfg = lifted_roll(3000, d, seed=5), KmeansConfig(k=20, max_iters=5, seed=2)
+        result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=40, seed=2,
+                                                clustering=kcfg))
         seed_sample = np.random.SeedSequence(2).spawn(3)[2]
         np.testing.assert_array_equal(result.sample, em._fit_sample(result.labels, seed_sample))
         rest = np.setdiff1d(np.arange(3000), result.sample)
         assert rest.size == 3000 - result.sample.size > 0
-        np.testing.assert_allclose(
-            result.embedding[rest],
-            cbmap.transform(result.model, x[rest], iters=em.FIT_REST_ITERS),
-            rtol=0.0, atol=1e-12)
+        placed = cbmap.transform(result.model, x[rest], iters=em.FIT_REST_ITERS)
+        if d == 3:  # the exact kernel's distances do not depend on the row block
+            assert result.embedding[rest].tobytes() == placed.tobytes()
+        else:  # fit takes wide rows' products a row block at a time, transform a whole block
+            np.testing.assert_allclose(result.embedding[rest], placed, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [3, 16])
     def test_bandwidth_above_the_threshold_comes_from_the_sample(self, d):
@@ -446,8 +469,8 @@ def test_count_that_is_not_a_whole_number_is_named(call, name, value):
 
 
 class TestCenterDistances:
-    """From ``_EXPANDED_MIN_D`` columns on, fit and transform take their
-    point-to-center distances from one matrix product."""
+    """From ``clustering._EXPANDED_MIN_D`` columns on, fit and transform take their
+    point-to-center distances from one matrix product (``_settled_sq_distances``)."""
 
     @staticmethod
     def _rows_and_centers(offset):
@@ -470,7 +493,7 @@ class TestCenterDistances:
             rechecked.append(len(a))
             return euclidean_distance_matrix(a, b, squared=squared)
 
-        monkeypatch.setattr(em, "euclidean_distance_matrix", exact)
+        monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
         got = em._center_distances(rows, centers)
         expected = euclidean_distance_matrix(rows, centers)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
@@ -502,8 +525,9 @@ class TestCenterDistances:
         x = lifted_roll(700, 32, seed=4)
         cfg = cbmap.CbmapConfig(n_clusters=12, max_iter=60, seed=1)
         runs = []
-        for min_d in (em._EXPANDED_MIN_D, x.shape[1] + 1):  # then the exact kernel
-            monkeypatch.setattr(em, "_EXPANDED_MIN_D", min_d)
+        for exact_path in (False, True):
+            if exact_path:  # every distance from embedder's own exact kernel
+                monkeypatch.setattr(em, "_settled_sq_distances", lambda *args, **kwargs: None)
             result = cbmap.fit(x[:600], cfg)
             runs.append((result, cbmap.transform(result.model, x[600:], iters=60)))
         (fast, fast_new), (exact, exact_new) = runs

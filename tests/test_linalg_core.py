@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,71 +138,6 @@ class TestEuclideanDistanceMatrix:
         d = lc.euclidean_distance_matrix(pts, pts)
         for i, j, k in rng.integers(0, 12, size=(200, 3)):
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
-
-
-def _expanded_cases():
-    """Rows and centers on which the expanded form is hard, by name."""
-    rng = np.random.default_rng(41)
-    rows, centers = rng.normal(size=(12, 16)), rng.normal(size=(5, 16))
-    return {
-        "offset-1e6": (rows + 1e6, centers + 1e6),
-        "spread-1e-8": (1.0 + 1e-8 * rows, 1.0 + 1e-8 * centers),
-        "scale-1e-160": (rows * 1e-160, centers * 1e-160),
-        "scale-1e150": (rows * 1e150, centers * 1e150),
-        "scale-1e200": (rows * 1e200, centers * 1e200),
-        # rows repeated, and rows that are the centers themselves
-        "duplicated-rows": (np.vstack([rows, rows[:4], centers[::-1]]), centers),
-    }
-
-
-def _exact_sq(a, b):
-    """The true squared distances between the rows of ``a`` and ``b``, as Fractions."""
-    fa = [[Fraction(v) for v in row] for row in a.tolist()]
-    fb = [[Fraction(v) for v in row] for row in b.tolist()]
-    return [[sum((p - q) ** 2 for p, q in zip(ra, rb)) for rb in fb] for ra in fa]
-
-
-class TestExpandedSqDistances:
-    @pytest.mark.parametrize("case", sorted(_expanded_cases()))
-    def test_every_entry_lies_within_its_rows_bound(self, case):
-        a, b = _expanded_cases()[case]
-        sq, err = lc._expanded_sq_distances(a, b)
-        assert sq.shape == (len(a), len(b)) and err.shape == (len(a),)
-        exact = _exact_sq(a, b)
-        for i in range(len(a)):
-            if not np.isfinite(err[i]):
-                continue  # left to the exact kernel
-            for j in range(len(b)):
-                assert np.isfinite(sq[i, j])
-                assert abs(Fraction(sq[i, j]) - exact[i][j]) <= Fraction(err[i])
-        # the bound never keeps what it cannot: squares beyond the float64
-        # range leave every row's bound infinite
-        assert np.isfinite(err).all() == (case != "scale-1e200")
-
-    @pytest.mark.parametrize("case", sorted(_expanded_cases()))
-    def test_rows_the_bound_settles_agree_with_the_exact_kernel(self, case):
-        # the exact kernel is itself within (d + 3) eps of the true value
-        a, b = _expanded_cases()[case]
-        sq, err = lc._expanded_sq_distances(a, b)
-        exact = lc.euclidean_distance_matrix(a, b, squared=True)
-        settled = err <= 1e-9 * sq.min(axis=1)
-        np.testing.assert_allclose(sq[settled], exact[settled], rtol=2e-9, atol=0.0)
-        # on spread-out data with no offset every row but a coincident one is
-        # settled; an offset or a tiny spread leaves the rows to the exact kernel
-        expected = {"scale-1e-160": False, "scale-1e150": True, "scale-1e200": False,
-                    "offset-1e6": False, "spread-1e-8": False}
-        if case == "duplicated-rows":
-            np.testing.assert_array_equal(settled, exact.min(axis=1) > 0)
-        else:
-            assert settled.tolist() == [expected[case]] * len(a)
-
-    def test_given_row_norms_are_used_as_they_are(self):
-        a, b = _expanded_cases()["duplicated-rows"]
-        a_sq = np.einsum("ij,ij->i", a, a)
-        whole = lc._expanded_sq_distances(a, b)
-        given_norms = lc._expanded_sq_distances(a, b, a_sq)
-        for got, expected in zip(given_norms, whole):
-            assert got.tobytes() == expected.tobytes()
 
 
 class TestZscoreNormalize:
@@ -441,3 +375,18 @@ class TestAsDataMatrix:
     def test_error_uses_given_name(self):
         with pytest.raises(ValueError, match="embedding"):
             lc.as_data_matrix([[np.inf]], "embedding")
+
+    def test_a_large_input_is_checked_a_block_of_rows_at_a_time(self):
+        # a one-byte mask per entry of this 8,000 x 256 input would be 2 MB
+        x = np.random.default_rng(0).normal(size=(8000, 256))
+        lc.as_data_matrix(x[:10])  # one-time set-up
+        tracemalloc.start()
+        try:
+            assert lc.as_data_matrix(x) is x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size / 2
+        x[-1, -1] = np.nan  # in the last block
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            lc.as_data_matrix(x, "x")
