@@ -59,6 +59,9 @@ def assign_labels(x, centers) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] <= _ASSIGN_ROWS:
         return _assign_block(x, centers)
+    shape = np.shape(centers)
+    if len(shape) == 2 and shape[1] != x.shape[1]:  # the input's shape, not a block's
+        raise ValueError(f"column mismatch: a has shape {x.shape}, b has shape {shape}")
     return np.concatenate([_assign_block(x[start:start + _ASSIGN_ROWS], centers)
                            for start in range(0, x.shape[0], _ASSIGN_ROWS)])
 
@@ -154,9 +157,11 @@ def _kmeans_plusplus(x, k, rng):
         new_sq = _settled_sq_distances(x, last, x_sq)
         new_sq = euclidean_distance_matrix(x, last)[:, 0] ** 2 if new_sq is None else new_sq[:, 0]
         np.minimum(closest_sq, new_sq, out=closest_sq)
-        total = closest_sq.sum()
+        with np.errstate(over="ignore"):  # finite squares whose sum overflows
+            total = closest_sq.sum()
         if not np.isfinite(total):
-            raise ValueError("squared distances overflow float64; rescale the input")
+            raise ValueError("the input x is too large in scale: its squared distances overflow "
+                             "float64; rescale it (cbmap fit --standardize does)")
         if total > 0:
             idx = int(rng.choice(n, p=closest_sq / total))
         else:

@@ -107,7 +107,7 @@ class FitResult:
     """What :func:`fit` returns. ``loss_history`` and ``model.sigma_high`` come
     from the rows the descent moved, ``sample``: every row up to
     ``FIT_SAMPLE_ROWS`` rows, else about that many, and the others were placed
-    by :func:`transform`'s descent against the fitted model."""
+    against the fitted model by the loop that places :func:`transform`'s rows."""
 
     embedding: np.ndarray  # (n, m)
     loss_history: np.ndarray  # (max_iter,)
@@ -193,18 +193,21 @@ def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
     return y, state, loss
 
 
-def _center_distances(x, centers) -> np.ndarray:
-    """The (n, k) distances from the checked rows of ``x`` to ``centers``; wide rows'
-    are the square roots of :func:`clustering._settled_sq_distances`."""
-    sq = _settled_sq_distances(x, centers)
-    return euclidean_distance_matrix(x, centers) if sq is None else np.sqrt(sq, out=sq)
-
-
-def _row_distances(x, rows, centers) -> np.ndarray:
-    """:func:`_center_distances` of ``x[rows]``, a row block at a time: no copy of ``x``."""
-    dist = np.empty((rows.size, centers.shape[0]))
-    for part in row_blocks(rows.size, x.shape[1]):
-        dist[part] = _center_distances(x[rows[part]], centers)
+def _row_distances(x, rows, centers, scaler=None, name="x") -> np.ndarray:
+    """The distances from ``x[rows]`` (an index array or a range), scaled by
+    ``scaler`` if given, to ``centers``, a row block at a time: no copy of ``x``.
+    Wide rows' are the square roots of :func:`clustering._settled_sq_distances`;
+    one beyond float64 is a ValueError that names the input ``name``."""
+    dist = np.empty((len(rows), centers.shape[0]))
+    for part in row_blocks(len(rows), x.shape[1]):
+        block = x[rows[part]]
+        if scaler is not None:
+            block = as_data_matrix(apply_scaler(block, *scaler), f"scaled {name}")
+        sq = _settled_sq_distances(block, centers)
+        dist[part] = euclidean_distance_matrix(block, centers) if sq is None else np.sqrt(sq)
+    if not np.isfinite(dist).all():
+        raise ValueError(f"{name} has rows that lie too far from the model's centers for "
+                         "float64 distances")
     return dist
 
 
@@ -236,8 +239,8 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     positions along the loss gradient, recompute centers from the original
     cluster labels, z-score them, and refresh the low bandwidth. The Adam
     state is carried across iterations, not reset. The rows left out of the
-    descent are then placed against the fitted model as :func:`transform`
-    places new rows, with ``FIT_REST_ITERS`` steps.
+    descent, none up to ``FIT_SAMPLE_ROWS``, are then placed against the fitted
+    model as :func:`transform` places its rows, with ``FIT_REST_ITERS`` steps.
     """
     x = as_data_matrix(x, "x")
     n, d = x.shape
@@ -258,8 +261,7 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     # Independent streams for the center draw, the point-noise draw and the sample.
     seed_centers, seed_points, seed_sample = np.random.SeedSequence(cfg.seed).spawn(3)
     sample = _fit_sample(labels, seed_sample)
-    dist_high = (_row_distances(x, sample, centers_high) if sample.size < n
-                 else _center_distances(x, centers_high))
+    dist_high = _row_distances(x, sample, centers_high)
     # distances that all underflow to 0 between rows that differ are a matter of scale
     s_high = 0.0 if dist_high.max() == 0 and np.ptp(x, axis=0).any() else mb.sigma_high(dist_high)
     if s_high < _MIN_BANDWIDTH:
@@ -292,16 +294,9 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     del u_high, state  # so they do not sit beside each placement block
 
     model = CbmapModel(centers_high, centers_low, s_high, s_low)
-    embedding = y
-    if sample.size < n:
-        embedding = np.empty((n, cfg.out_dim))
-        embedding[sample] = y
-        rest = np.delete(np.arange(n), sample)
-        step = transform_block_rows(model)
-        for start in range(0, rest.size, step):
-            rows = rest[start:start + step]
-            embedding[rows] = _transform_block(
-                model, _row_distances(x, rows, centers_high), FIT_REST_ITERS)
+    embedding = np.empty((n, cfg.out_dim))
+    embedding[sample] = y
+    _place(model, x, np.delete(np.arange(n), sample), FIT_REST_ITERS, embedding)
     return FitResult(embedding=embedding, loss_history=history, model=model, labels=labels,
                      sample=sample)
 
@@ -316,7 +311,8 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     bandwidth stay fixed. A row's result does not depend on the other rows,
     so the rows are descended in blocks of a bounded size, and the memory
     used beyond the input and the output does not grow with their number.
-    The model must pass the range checks :func:`load_model` applies.
+    The model must pass :func:`load_model`'s range checks, and the rows must
+    lie within float64 distances of its centers.
     """
     x = as_data_matrix(x_new, "x_new")
     d = model.centers_high.shape[1]
@@ -325,13 +321,7 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     check_count(iters, "iters", 1)
     _check_ranges(model)
     y = np.empty((x.shape[0], model.centers_low.shape[1]))
-    step = transform_block_rows(model)
-    for start in range(0, x.shape[0], step):
-        rows = x[start:start + step]
-        if model.feature_scaler is not None:
-            rows = as_data_matrix(apply_scaler(rows, *model.feature_scaler), "scaled x_new")
-        y[start:start + step] = _transform_block(
-            model, _center_distances(rows, model.centers_high), iters)
+    _place(model, x, range(x.shape[0]), iters, y, "x_new")
     return y
 
 
@@ -342,23 +332,27 @@ def transform_block_rows(model: CbmapModel) -> int:
     return block_rows(model.centers_high.shape[0], _TRANSFORM_CHUNKS)
 
 
-def _transform_block(model: CbmapModel, dist_high, iters: int) -> np.ndarray:
-    """:func:`transform` of one block of rows, given their (rows, k) distances to
-    ``model.centers_high``."""
-    u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
-    # argmax membership == argmin distance, and stays well defined when every
-    # membership in a row underflows to zero
-    nearest = np.argmin(dist_high, axis=1)
-    del dist_high
-
-    y = model.centers_low[nearest]
-    state = AdamState.zeros(y.shape)
-    for it in range(iters):
-        # loss=1 makes loss_gradient the gradient of 1/2 ||U_low - U_high||^2,
-        # which has no whole-set factor, so each row descends on its own
-        y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
-                                    it + 1, loss=1.0)
-    return y
+def _place(model: CbmapModel, x, rows, iters: int, out, name="x") -> None:
+    """Descend ``x[rows]`` (as in :func:`_row_distances`) against the frozen
+    ``model`` into ``out[rows]``, one :func:`transform_block_rows` block at a
+    time, each row from the ``centers_low`` row of its nearest high-dimensional center."""
+    step = transform_block_rows(model)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        dist_high = _row_distances(x, block, model.centers_high, model.feature_scaler, name)
+        u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
+        # argmax membership == argmin distance, and stays well defined when every
+        # membership in a row underflows to zero
+        y = model.centers_low[np.argmin(dist_high, axis=1)]
+        del dist_high
+        state = AdamState.zeros(y.shape)
+        for it in range(iters):
+            # loss=1 makes loss_gradient the gradient of 1/2 ||U_low - U_high||^2,
+            # which has no whole-set factor, so each row descends on its own
+            y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
+                                        it + 1, loss=1.0)
+        del u_high  # so it does not sit beside the next block's distances
+        out[block] = y
 
 
 def save_model(model: CbmapModel, path) -> None:

@@ -17,7 +17,7 @@ from cbmap.clustering import assign_labels
 from cbmap.datasets import load_csv, write_csv
 from cbmap.embedder import transform_block_rows
 from cbmap.linalg_core import euclidean_distance_matrix
-from cbmap.metrics import knn_accuracy
+from cbmap.metrics import global_score, knn_accuracy
 from _util import two_blobs
 
 
@@ -211,7 +211,8 @@ class TestFit:
         code = main(["fit", str(table), "--k", "3", "-o", str(tmp_path / "emb.csv")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: squared distances overflow float64; rescale the input"]
+        assert err == ["error: the input x is too large in scale: its squared distances "
+                       "overflow float64; rescale it (cbmap fit --standardize does)"]
 
     def test_input_too_small_to_fit_is_named_and_leaves_no_output(self, tmp_path, capsys):
         # below 1e-154 the bandwidth leaves the range the descent can resolve
@@ -759,6 +760,20 @@ class TestTransform:
         assert capsys.readouterr().err == ""
         assert np.all(np.isfinite(load_csv(out).data))
 
+    def test_rows_too_far_for_float64_distances_are_a_one_line_error(self, fitted, tmp_path,
+                                                                    capsys):
+        table, _, model_path = fitted
+        far = tmp_path / "far.csv"
+        write_csv(far, load_csv(table).data[:60] * 1e160)
+        out = tmp_path / "out" / "proj.csv"
+        out.parent.mkdir()
+        code = main(["transform", str(model_path), str(far), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: x_new has rows that lie too far from the model's centers for float64 "
+            "distances"]
+        assert list(out.parent.iterdir()) == []
+
     def test_reruns_give_identical_outputs_and_take_no_seed(self, fitted, tmp_path, capsys):
         table, _, model_path = fitted
         a, b = tmp_path / "ta.csv", tmp_path / "tb.csv"
@@ -803,6 +818,59 @@ def test_swiss_roll_split_pipeline_tracks_radius(tmp_path):
     radii = np.hypot(roll.data[test_idx][:, 0], roll.data[test_idx][:, 2])
     spread = np.linalg.norm(test_emb - center, axis=1)
     assert abs(_spearman(radii, spread)) >= 0.8
+
+
+# the exponents of the magnitude sweep: coarse steps from 1e-320, a subnormal
+# scale, to 1e307, the largest at which the s_curve stays finite, and the
+# scales on either side of 1e154, where the squared distances leave float64
+SWEEP_EXPONENTS = sorted({*range(-320, 308, 32), -156, -152, 152, 156, 307})
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardize"])
+def test_every_magnitude_fits_and_projects_or_is_one_named_error(tmp_path, capsys, standardize):
+    # the s_curve scaled by 10^e, and offset by 10^(e + 3) where that is finite,
+    # through fit, and through transform with its own model and a unit-scale one
+    curve = cbmap.make_s_curve(200, seed=0)
+    flags = ["--standardize"] if standardize else []
+
+    def run(command, *args):
+        out = tmp_path / f"{command}.csv"
+        code = main([command, *map(str, args), "--label-col", "label",
+                     *(flags if command == "fit" else []), "-o", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            y = load_csv(out, label_column="label").data
+            assert np.all(np.isfinite(y))
+            return global_score(curve.data, y)
+        assert code == 1 and len(err) == 1, err
+        # the line names the input, not an internal array
+        assert err[0].startswith(("error: the input x is too ", "error: x_new has rows ")), err
+        return None
+
+    def fit_and_project(data, model=None):
+        table = tmp_path / "data.csv"
+        write_csv(table, data, curve.labels)
+        fitted = run("fit", table, "--k", 5, "--max-iter", 30)
+        own = None
+        if fitted is not None:
+            own = run("transform", tmp_path / "fit.model.json", table, "--iters", 30)
+        if model is not None:
+            run("transform", model, table, "--iters", 30)
+        return fitted, own
+
+    unit = tmp_path / "unit.model.json"
+    expected = fit_and_project(curve.data)
+    (tmp_path / "fit.model.json").replace(unit)
+    fitted_scales = 0
+    for e in SWEEP_EXPONENTS:
+        for offset in (0.0, float(f"1e{e + 3}")) if e + 3 <= 307 else (0.0,):
+            scores = fit_and_project(curve.data * float(f"1e{e}") + offset, unit)
+            if scores[0] is not None:
+                fitted_scales += 1
+                np.testing.assert_allclose(scores, expected, rtol=0.0, atol=0.002)
+    # the scaler takes every scale; without it, those from 1e-152 to 1e152 fit
+    assert fitted_scales == (2 * len(SWEEP_EXPONENTS) - 1 if standardize else 22)
 
 
 class TestNegativeSeed:

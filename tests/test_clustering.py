@@ -1,5 +1,6 @@
 """Tests for k-means clustering and label assignment."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +44,12 @@ class TestAssignLabels:
     def test_dimension_mismatch(self, d):
         with pytest.raises(ValueError, match="mismatch"):
             cl.assign_labels(np.zeros((2, d)), np.zeros((2, d - 1)))
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_dimension_mismatch_above_one_block_names_the_whole_input(self, d):
+        message = f"column mismatch: a has shape (5000, {d}), b has shape (4, {d - 1})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cl.assign_labels(np.zeros((5000, d)), np.zeros((4, d - 1)))
 
 
 class _RecordingRng:
@@ -344,9 +351,14 @@ class TestWideSeeding:
             centers = cl._kmeans_plusplus(x, 6, np.random.default_rng(seed))
             assert len(np.unique(centers, axis=0)) == 6
 
-    def test_overflow_is_named(self):
-        x = np.random.default_rng(9).normal(size=(20, 16)) * 1e200
-        with pytest.raises(ValueError, match="overflow float64; rescale the input"):
+    @pytest.mark.parametrize("case", ["squares", "sum"])
+    def test_overflow_is_named(self, case):
+        if case == "squares":
+            x = np.random.default_rng(9).normal(size=(20, 16)) * 1e200
+        else:  # every square is finite, but not their sum
+            x = np.vstack([np.zeros(3), np.eye(3)]) * 1.2e154
+        # and with no warning, which pytest turns into an error
+        with pytest.raises(ValueError, match="overflow float64; rescale it"):
             cl._kmeans_plusplus(x, 3, np.random.default_rng(0))
 
 

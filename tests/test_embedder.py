@@ -19,7 +19,7 @@ from cbmap import clustering as cl
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
-from cbmap.linalg_core import block_rows, euclidean_distance_matrix, row_blocks, zscore_normalize
+from cbmap.linalg_core import euclidean_distance_matrix, row_blocks, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
 from _util import lifted_roll, two_blobs
 
@@ -348,20 +348,15 @@ class TestFitSample:
         rest = np.setdiff1d(np.arange(3000), result.sample)
         assert rest.size == 3000 - result.sample.size > 0
         placed = cbmap.transform(result.model, x[rest], iters=em.FIT_REST_ITERS)
-        if d == 3:  # the exact kernel's distances do not depend on the row block
-            assert result.embedding[rest].tobytes() == placed.tobytes()
-        else:  # fit takes wide rows' products a row block at a time, transform a whole block
-            np.testing.assert_allclose(result.embedding[rest], placed, rtol=0.0, atol=1e-12)
+        # both place the rows in the same blocks, so even the wide rows' products agree
+        assert result.embedding[rest].tobytes() == placed.tobytes()
 
     @pytest.mark.parametrize("d", [3, 16])
     def test_bandwidth_above_the_threshold_comes_from_the_sample(self, d):
         x = cbmap.make_swiss_roll(3000, seed=8).data if d == 3 else lifted_roll(3000, d, seed=8)
         result = cbmap.fit(x, cbmap.CbmapConfig(n_clusters=20, max_iter=2, seed=1))
         assert result.sample.size < 3000
-        # at up to 16 columns one row block holds the whole sample, so the
-        # wide path's matrix product is the same one fit takes
-        assert result.sample.size <= block_rows(d)
-        dist = em._center_distances(x[result.sample], result.model.centers_high)
+        dist = em._row_distances(x, result.sample, result.model.centers_high)
         assert result.model.sigma_high == mb.sigma_high(dist)
         every_row = mb.sigma_high(euclidean_distance_matrix(x, result.model.centers_high))
         assert result.model.sigma_high == pytest.approx(every_row, rel=0.01)
@@ -468,9 +463,14 @@ def test_count_that_is_not_a_whole_number_is_named(call, name, value):
         call(value)
 
 
-class TestCenterDistances:
+def _distances(rows, centers):
+    return em._row_distances(rows, np.arange(len(rows)), centers)
+
+
+class TestRowDistances:
     """From ``clustering._EXPANDED_MIN_D`` columns on, fit and transform take their
-    point-to-center distances from one matrix product (``_settled_sq_distances``)."""
+    point-to-center distances from one matrix product (``_settled_sq_distances``)
+    per row block."""
 
     @staticmethod
     def _rows_and_centers(offset):
@@ -494,7 +494,7 @@ class TestCenterDistances:
             return euclidean_distance_matrix(a, b, squared=squared)
 
         monkeypatch.setattr(cl, "euclidean_distance_matrix", exact)
-        got = em._center_distances(rows, centers)
+        got = _distances(rows, centers)
         expected = euclidean_distance_matrix(rows, centers)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
         np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(expected, axis=1))
@@ -510,15 +510,21 @@ class TestCenterDistances:
     def test_extreme_magnitudes_match_the_exact_kernel(self, scale):
         rows, centers = self._rows_and_centers(0.0)
         rows, centers = rows * scale, centers * scale
-        got = em._center_distances(rows, centers)
         expected = euclidean_distance_matrix(rows, centers)
+        if scale == 1e200:  # the exact kernel's squares overflow, and the rows are named
+            assert np.isinf(expected).any()
+            with pytest.raises(ValueError, match="^x has rows that lie too far from the "
+                                                 "model's centers for float64 distances$"):
+                _distances(rows, centers)
+            return
+        got = _distances(rows, centers)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
         np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(expected, axis=1))
 
     @pytest.mark.parametrize("d", [3, 7])
     def test_narrow_rows_take_the_exact_kernel(self, d):
         rows = np.random.default_rng(d).normal(size=(50, d))
-        got = em._center_distances(rows, rows[:6])
+        got = _distances(rows, rows[:6])
         assert got.tobytes() == euclidean_distance_matrix(rows, rows[:6]).tobytes()
 
     def test_fit_and_transform_agree_with_the_exact_path(self, monkeypatch):
@@ -634,6 +640,26 @@ class TestDegenerateData:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(np.isfinite(cbmap.transform(model, far)))
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_transform_of_rows_too_far_for_float64_distances_names_x_new(self, d):
+        x = cbmap.make_s_curve(260, seed=0).data if d == 3 else lifted_roll(260, d, seed=0)
+        model = cbmap.fit(x[:200], cbmap.CbmapConfig(n_clusters=5, max_iter=30)).model
+        # at 1e150 every membership underflows to zero, but the distances are finite
+        assert np.all(np.isfinite(cbmap.transform(model, x[200:] * 1e150, iters=20)))
+        with pytest.raises(ValueError, match="^x_new has rows that lie too far from the "
+                                             "model's centers for float64 distances$"):
+            cbmap.transform(model, x[200:] * 1e160, iters=20)
+
+    def test_fit_of_rows_too_far_from_a_center_for_float64_distances_names_x(self):
+        # k-means' squared distances to its first seed stay finite, but a row's
+        # distance to the other side's center does not
+        far = np.array([np.sqrt(0.89e308), 0.0, 0.0])
+        x = np.vstack([np.zeros((3, 3)), far, -far,
+                       np.random.default_rng(0).normal(size=(3, 3))])
+        with pytest.raises(ValueError, match="^x has rows that lie too far from the "
+                                             "model's centers for float64 distances$"):
+            cbmap.fit(x, cbmap.CbmapConfig(n_clusters=2, max_iter=5, seed=3))
 
     def test_fit_on_duplicated_rows(self):
         data, _ = two_blobs(40, seed=16)
