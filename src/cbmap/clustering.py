@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import as_data_matrix, check_count, euclidean_distance_matrix, row_blocks
+from .linalg_core import (
+    _ufunc_buffer,
+    as_data_matrix,
+    check_count,
+    euclidean_distance_matrix,
+    row_blocks,
+)
 
 # kmeans_fit keeps the best of N_INIT Lloyd runs below FULL_BATCH_LIMIT rows,
 # and from there on runs mini-batches of BATCH_SIZE rows.
@@ -116,6 +122,7 @@ def _settled_sq_distances(x, centers, x_sq=None, nearest_only=False):
     return sq
 
 
+@_ufunc_buffer
 def kmeans_fit(x, cfg: KmeansConfig) -> ClusterAssignment:
     """Cluster ``x`` into ``cfg.k`` groups.
 

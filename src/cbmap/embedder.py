@@ -20,6 +20,7 @@ from . import membership as mb
 from .clustering import KmeansConfig, _settled_sq_distances, kmeans_fit, update_centers
 from .datasets import _utf8_error
 from .linalg_core import (
+    _ufunc_buffer,
     apply_scaler,
     as_data_matrix,
     block_rows,
@@ -54,19 +55,20 @@ INIT_NOISE_STD = 0.1  # of the Gaussian noise fit adds to each point's start
 # rows. Fewer, larger blocks cost memory; more, smaller ones cost each
 # step's fixed overhead (about 45 us) once more per block. Streaming 8,000
 # rows at k = 20 for 100 steps (perfbench's `oos`, on 2 shared cores), 3
-# chunks peaked at 2.70 MB traced, 2 at 1.99 MB and 1 at 1.53 MB, and 2
-# chunks took about as long as 3 (within 2%, minimum of 7 runs in each of 8
-# rounds) where 1 took 16% longer.
+# chunks peaked at 2.64 MB traced, 2 at 1.94 MB and 1 at 1.21 MB; against
+# 2 chunks, 3 took 1% less time and 1 took 2% more (medians of 8 rounds of
+# the minimum of 7 runs), where under numpy's default ufunc buffer, not the
+# entry points' smaller one, 1 took 14% more.
 _TRANSFORM_CHUNKS = 2
 # fit descends at most about this many rows (see _fit_sample) and places the
 # others as transform places new rows. At 2,048 every fit the acceptance
 # tests and the benchmark's `highdim` and `oos` make keeps its bits.
 FIT_SAMPLE_ROWS = 2048
 # Adam steps that place each row fit leaves out of its descent. On 5,000-row
-# swiss rolls at k = 40 and 200 fit steps (8 seeds, 2 shared Xeon cores),
-# fit took 0.63 s descending every row, 0.33 s with 50 steps here and 0.39 s
-# with 100, at the same mean global score (0.977) and kNN accuracy (0.982);
-# 25 steps saved 0.03 s more.
+# swiss rolls at k = 40 and 200 fit steps (means of 8 seeds, 2 shared Xeon
+# cores), fit took 0.45 s descending every row, 0.28 s with 50 steps here and
+# 0.31 s with 100, at the same global score (0.977) and kNN accuracies of
+# 0.986, 0.983 and 0.984; 25 steps saved 0.04 s more, at 0.976 and 0.982.
 FIT_REST_ITERS = 50
 
 
@@ -224,6 +226,7 @@ def _fit_sample(labels, seed) -> np.ndarray:
     return np.sort(grouped[rank < np.repeat(take, counts)])
 
 
+@_ufunc_buffer
 def fit(x, cfg: CbmapConfig) -> FitResult:
     """Embed ``x`` into ``cfg.out_dim`` dimensions.
 
@@ -301,6 +304,7 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
                      sample=sample)
 
 
+@_ufunc_buffer
 def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     """Embed new points with a frozen model, each row on its own.
 

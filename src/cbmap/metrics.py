@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg_core import (
+    _ufunc_buffer,
     as_data_matrix,
     check_count,
     euclidean_distance_matrix,
@@ -96,6 +97,7 @@ def _reconstruction_errors(x, mean, bases) -> list:
     return [float(np.sqrt(sq)) for sq in squares]
 
 
+@_ufunc_buffer
 def global_score(x, y) -> float:
     """How much global structure the embedding keeps, relative to PCA.
 
@@ -297,6 +299,7 @@ def _grid_blocks(train, queries, k: int, shape: tuple):
     return np.concatenate(rest)
 
 
+@_ufunc_buffer
 def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> float:
     """Label accuracy of a k-nearest-neighbor vote on a stratified holdout.
 
@@ -327,6 +330,7 @@ def knn_accuracy(y, labels, k: int = 3, split: HoldoutSpec | None = None) -> flo
     return correct / test_idx.size
 
 
+@_ufunc_buffer
 def evaluate(x, y, labels=None) -> MetricReport:
     """Bundle the global score (always) and kNN accuracy (when labels exist)."""
     acc = None if labels is None else knn_accuracy(y, labels)
