@@ -31,13 +31,6 @@ from .linalg_core import (
     pca_transform,
     zscore_normalize,
 )
-from .membership import (
-    frobenius_loss,
-    loss_gradient,
-    membership_matrix,
-    sigma_high,
-    sigma_low,
-)
 from .metrics import HoldoutSpec, MetricReport, evaluate, global_score, knn_accuracy
 
 __version__ = "0.1.0"
@@ -57,23 +50,18 @@ __all__ = [
     "euclidean_distance_matrix",
     "evaluate",
     "fit",
-    "frobenius_loss",
     "global_score",
     "kmeans_fit",
     "knn_accuracy",
     "load_csv",
     "load_model",
-    "loss_gradient",
     "make_cuboids",
     "make_s_curve",
     "make_severed_sphere",
     "make_swiss_roll",
-    "membership_matrix",
     "pca_fit",
     "pca_transform",
     "save_model",
-    "sigma_high",
-    "sigma_low",
     "transform",
     "write_csv",
     "zscore_normalize",

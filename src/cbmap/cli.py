@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -128,17 +129,22 @@ def _embedding_header(dim, labeled) -> list:
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A text file open for writing beside ``path`` that replaces ``path``
-    when the block ends, or is removed if the block raises; either way an
-    incomplete output never takes the place of ``path``."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+def _replacing(*paths: Path):
+    """Temporary paths beside ``paths``, one each, that replace them when the
+    block ends, or are removed if the block raises; either way an incomplete
+    output never takes the place of one of ``paths``. A path that names a
+    directory is an error before the block runs, so it leaves no output."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -219,15 +225,17 @@ def cmd_fit(args):
 
     out = Path(args.out)
     model_path = out.with_suffix(".model.json")
-    # save_model checks the model before it writes, so a model it rejects leaves no output
-    save_model(replace(result.model, feature_scaler=scaler), model_path)
-    write_csv(out, result.embedding, ds.labels,
-              header=_embedding_header(args.dim, ds.labels is not None))
     loss_path = out.with_suffix(".loss.csv")
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,loss\n")
-        for i, v in enumerate(result.loss_history):
-            fh.write(f"{i},{float(v)!r}\n")
+    # all three outputs are written, or none: a model save_model rejects, or an
+    # output path that names a directory, leaves none of them
+    with _replacing(out, model_path, loss_path) as (out_tmp, model_tmp, loss_tmp):
+        save_model(replace(result.model, feature_scaler=scaler), model_tmp)
+        write_csv(out_tmp, result.embedding, ds.labels,
+                  header=_embedding_header(args.dim, ds.labels is not None))
+        with open(loss_tmp, "w", encoding="utf-8") as fh:
+            fh.write("iteration,loss\n")
+            for i, v in enumerate(result.loss_history):
+                fh.write(f"{i},{float(v)!r}\n")
     descended = int(result.sample.size)
     if args.verbose:
         print(f"fit: k={k}, descended {descended} of {x.shape[0]} rows, loss "
@@ -245,7 +253,8 @@ def cmd_transform(args):
     # blocks of transform's own size keep every row's bits as in one whole-file call
     blocks = load_csv_blocks(args.input, transform_block_rows(model), **kwargs)
     written = 0
-    with closing(blocks), _replacing(out) as fh:
+    with (closing(blocks), _replacing(out) as (tmp,),
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         header = _embedding_header(model.centers_low.shape[1], kwargs["label_column"] is not None)
         fh.write(",".join(header) + "\n")
         for block in blocks:

@@ -132,9 +132,7 @@ class AdamState:
 
 def adam_update(y, grad, state: AdamState, step_index: int):
     """One bias-corrected Adam step of size ``ADAM_LEARNING_RATE``; returns the
-    new positions and state."""
-    if step_index < 1:
-        raise ValueError(f"step_index must be at least 1, got {step_index}")
+    new positions and state. ``step_index`` counts from 1."""
     # the textbook update below, one operation at a time in its own order, so
     # to its bits, with three new arrays and one scratch array in place of
     # a temporary per operation:
@@ -290,10 +288,10 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
         y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state, it + 1)
-        # the loop's own centers are finite, so they skip the public checks
+        # the loop's own centers are finite, so they skip zscore_normalize's check
         centers_low = update_centers(y, sample_labels, centers_low)
         centers_low = apply_scaler(centers_low, *fit_scaler(centers_low))
-        s_low = mb._sigma_low(centers_low)
+        s_low = mb.sigma_low(centers_low)
     del u_high, state  # so they do not sit beside each placement block
 
     model = CbmapModel(centers_high, centers_low, s_high, s_low)
@@ -346,8 +344,9 @@ def _place(model: CbmapModel, x, rows, iters: int, out, name="x") -> None:
         dist_high = _row_distances(x, block, model.centers_high, model.feature_scaler, name)
         u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
         # argmax membership == argmin distance, and stays well defined when every
-        # membership in a row underflows to zero
-        y = model.centers_low[np.argmin(dist_high, axis=1)]
+        # membership in a row underflows to zero; a hand-built model's centers
+        # may be of another dtype, and the descent takes float64 positions
+        y = model.centers_low[np.argmin(dist_high, axis=1)].astype(np.float64, copy=False)
         del dist_high
         state = AdamState.zeros(y.shape)
         for it in range(iters):

@@ -214,6 +214,33 @@ class TestFit:
         assert err == ["error: the input x is too large in scale: its squared distances "
                        "overflow float64; rescale it (cbmap fit --standardize does)"]
 
+    @pytest.mark.parametrize("blocked", ["emb.csv", "emb.loss.csv"], ids=["output", "loss"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-outputs", "existing-outputs"])
+    def test_output_path_that_is_a_directory_leaves_no_output(self, tmp_path, capsys, blocked,
+                                                              existing):
+        data, labels = two_blobs(30, seed=16)
+        table = tmp_path / "blobs.csv"
+        write_csv(table, data, labels)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / blocked).mkdir()
+        earlier = {name: f"an earlier {name}\n" for name in ("emb.csv", "emb.model.json",
+                                                             "emb.loss.csv") if name != blocked}
+        if existing:
+            for name, text in earlier.items():
+                (out_dir / name).write_text(text)
+        code = main(["fit", str(table), "--k", "3", "--max-iter", "5", "--label-col", "label",
+                     "-o", str(out_dir / "emb.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and err[0].endswith(f"'{out_dir / blocked}'")
+        # no output, temporary file or manifest is written, and none is replaced
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            [blocked, *earlier] if existing else [blocked])
+        if existing:
+            assert {name: (out_dir / name).read_text() for name in earlier} == earlier
+
     def test_input_too_small_to_fit_is_named_and_leaves_no_output(self, tmp_path, capsys):
         # below 1e-154 the bandwidth leaves the range the descent can resolve
         curve = cbmap.make_s_curve(200, seed=0)

@@ -77,14 +77,29 @@ class TestAdamUpdate:
         np.testing.assert_array_equal(state.mean, before[0])
         np.testing.assert_array_equal(state.variance, before[1])
 
-    def test_step_index_validated(self):
-        with pytest.raises(ValueError, match="step_index"):
-            em.adam_update(np.zeros((1, 1)), np.zeros((1, 1)),
-                           em.AdamState.zeros((1, 1)), 0)
+
+def _count_calls(monkeypatch) -> dict:
+    """Counts of the input checks (``as_data_matrix``), ``zscore_normalize``
+    and ``membership.sigma_low`` while the test runs, keyed ``check``,
+    ``zscore`` and ``sigma_low``."""
+    calls = {"check": 0, "zscore": 0, "sigma_low": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    check = counted("check", cbmap.linalg_core.as_data_matrix)
+    for module in (cbmap.linalg_core, em, cbmap.clustering):
+        monkeypatch.setattr(module, "as_data_matrix", check)
+    monkeypatch.setattr(em, "zscore_normalize", counted("zscore", zscore_normalize))
+    monkeypatch.setattr(mb, "sigma_low", counted("sigma_low", mb.sigma_low))
+    return calls
 
 
 def _reference_step(y, centers_low, sigma, u_high, state, step_index):
-    """The descent step composed from the public routines, distances first."""
+    """The descent step composed from the membership routines, distances first."""
     u_low = mb.membership_matrix(euclidean_distance_matrix(y, centers_low), sigma)
     loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low.T, u_high.T, loss)
@@ -279,30 +294,20 @@ class TestFit:
         assert peak < em.transform_block_rows(result.model) * 512 * 8 / 2
 
     def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
-        # per iteration: the step's distance call (2) and loss_gradient (2),
-        # and the bandwidth's distance call (2); the loop's own centers are
-        # not checked again. The public z-score and bandwidth run once, at the start
-        calls = {"check": 0, "zscore": 0, "sigma_low": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        check = counted("check", cbmap.linalg_core.as_data_matrix)
-        for module in (cbmap.linalg_core, mb, em, cbmap.clustering):
-            monkeypatch.setattr(module, "as_data_matrix", check)
-        monkeypatch.setattr(em, "zscore_normalize", counted("zscore", zscore_normalize))
-        monkeypatch.setattr(mb, "sigma_low", counted("sigma_low", mb.sigma_low))
+        # per iteration: the step's distance call (2) and the bandwidth's
+        # distance call (2); loss_gradient and the loop's own centers are not
+        # checked again. The public z-score runs once, at the start, and the
+        # bandwidth at the start and after every step
+        calls = _count_calls(monkeypatch)
         data, _ = two_blobs(60, seed=13)
         per_run = []
         for max_iter in (1, 3):
             calls.update(check=0, zscore=0, sigma_low=0)
             cbmap.fit(data, cbmap.CbmapConfig(n_clusters=4, max_iter=max_iter))
             per_run.append(dict(calls))
-        assert (per_run[1]["check"] - per_run[0]["check"]) / 2 == 6
-        assert all(run["zscore"] == 1 and run["sigma_low"] == 1 for run in per_run)
+        assert (per_run[1]["check"] - per_run[0]["check"]) / 2 == 4
+        assert [run["zscore"] for run in per_run] == [1, 1]
+        assert [run["sigma_low"] for run in per_run] == [1 + 1, 1 + 3]
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -604,6 +609,27 @@ class TestTransform:
         parts = np.vstack([cbmap.transform(model, x[i:i + 1000], iters=20)
                            for i in range(0, len(x), 1000)])
         np.testing.assert_allclose(parts, whole, rtol=0.0, atol=1e-12)
+
+    def test_step_checks_only_its_distance_call(self, blob_fit, monkeypatch):
+        # per step: the two arrays of the step's distance call; loss_gradient
+        # takes the positions and memberships the loop holds, unchecked
+        data, result = blob_fit
+        calls = _count_calls(monkeypatch)
+        per_run = []
+        for iters in (1, 3):
+            calls.update(check=0)
+            cbmap.transform(result.model, data, iters=iters)
+            per_run.append(calls["check"])
+        assert (per_run[1] - per_run[0]) / 2 == 2
+
+    def test_model_centers_of_another_dtype_give_the_same_rows(self, blob_fit):
+        # the descent starts from float64 copies of a hand-built model's centers
+        data, result = blob_fit
+        model = replace(result.model, centers_low=np.round(4.0 * result.model.centers_low)
+                        .astype(np.int64))
+        as_float64 = replace(model, centers_low=model.centers_low.astype(np.float64))
+        np.testing.assert_array_equal(cbmap.transform(model, data[:20], iters=30),
+                                      cbmap.transform(as_float64, data[:20], iters=30))
 
     def test_iters_validated(self, blob_fit):
         _, result = blob_fit
