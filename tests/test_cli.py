@@ -684,6 +684,20 @@ class TestTransform:
         if existing:
             assert out.read_text() == "an earlier output\n"
 
+    def test_output_path_that_is_a_directory_leaves_no_output(self, fitted, tmp_path, capsys):
+        table, _, model_path = fitted
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "proj.csv").mkdir()
+        code = main(["transform", str(model_path), str(table), "-o", str(out_dir / "proj.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and err[0].endswith(f"'{out_dir / 'proj.csv'}'")
+        # the directory stays empty, and no temporary file or manifest is written
+        assert [p.name for p in out_dir.iterdir()] == ["proj.csv"]
+        assert list((out_dir / "proj.csv").iterdir()) == []
+
     @pytest.mark.parametrize("cell, message", [
         ("oops", "not numeric: 'oops'"),
         ("inf", "not finite: 'inf'"),

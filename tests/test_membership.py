@@ -233,6 +233,10 @@ class TestFrobeniusLoss:
                 total += (a[i, j] - b[i, j]) ** 2
         assert mb.frobenius_loss(a, b) == pytest.approx(np.sqrt(total), abs=1e-12)
 
+    def test_accepts_membership_wrappers(self):
+        u = mb.membership_matrix(np.array([[1.0, 2.0]]), 1.0)
+        assert mb.frobenius_loss(u, u) == 0.0
+
     # grid-valued entries: differences below ~1e-162 square-underflow to 0
     _unit_grid = st.integers(0, 1000).map(lambda v: v / 1000.0)
 
