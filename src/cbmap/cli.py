@@ -380,13 +380,15 @@ def main(argv=None) -> int:
         # one line per warning, in the style of the error lines
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            config, outputs = args.func(args)
-            doc = {"command": args.command, "argv": list(argv), "config": config,
-                   "seed": getattr(args, "seed", None), "outputs": [str(p) for p in outputs],
-                   "elapsed_s": time.perf_counter() - t0}
-            with open(f"{outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            # replaced as the outputs are, so a directory here fails before the command runs
+            with _replacing(Path(f"{Path(args.out)}.manifest.json")) as (manifest,):
+                config, outputs = args.func(args)
+                doc = {"command": args.command, "argv": list(argv), "config": config,
+                       "seed": getattr(args, "seed", None), "outputs": list(map(str, outputs)),
+                       "elapsed_s": time.perf_counter() - t0}
+                with open(manifest, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=2)
+                    fh.write("\n")
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

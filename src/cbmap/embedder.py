@@ -47,19 +47,6 @@ _MAX_POSITION = 1e150
 # descent's 1 / (2 sigma^2) and 1 / sigma^2 stay finite
 _MIN_BANDWIDTH = 2.0**-511
 INIT_NOISE_STD = 0.1  # of the Gaussian noise fit adds to each point's start
-# transform descends blocks of rows that each hold this many of the
-# gradient's cache-sized blocks (up to 65,536 elements of each (k, rows)
-# membership array), so its memory does not grow with the row count, and a
-# row meets the same gradient blocks, and so the same rounding, as in one
-# whole-set descent; `cbmap transform` reads its input in blocks of the same
-# rows. Fewer, larger blocks cost memory; more, smaller ones cost each
-# step's fixed overhead (about 45 us) once more per block. Streaming 8,000
-# rows at k = 20 for 100 steps (perfbench's `oos`, on 2 shared cores), 3
-# chunks peaked at 2.64 MB traced, 2 at 1.94 MB and 1 at 1.21 MB; against
-# 2 chunks, 3 took 1% less time and 1 took 2% more (medians of 8 rounds of
-# the minimum of 7 runs), where under numpy's default ufunc buffer, not the
-# entry points' smaller one, 1 took 14% more.
-_TRANSFORM_CHUNKS = 2
 # fit descends at most about this many rows (see _fit_sample) and places the
 # others as transform places new rows. At 2,048 every fit the acceptance
 # tests and the benchmark's `highdim` and `oos` make keeps its bits.
@@ -328,20 +315,30 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
 
 
 def transform_block_rows(model: CbmapModel) -> int:
-    """Rows per block that :func:`transform` descends at once (the last block
-    may hold fewer). Each row's result is bit for bit the same in a call on
-    the whole set as in a call on its own block of this size."""
-    return block_rows(model.centers_high.shape[0], _TRANSFORM_CHUNKS)
+    """Rows per block that :func:`transform` descends at once, one gradient block
+    (32,768 values of each (k, rows) array); the last block may hold fewer, or
+    up to half again as many. Each row's result is bit for bit the same in a
+    call on the whole set as in a call on its own block of this size."""
+    return block_rows(model.centers_high.shape[0])
 
 
 def _place(model: CbmapModel, x, rows, iters: int, out, name="x") -> None:
     """Descend ``x[rows]`` (as in :func:`_row_distances`) against the frozen
     ``model`` into ``out[rows]``, one :func:`transform_block_rows` block at a
-    time, each row from the ``centers_low`` row of its nearest high-dimensional center."""
-    step = transform_block_rows(model)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        dist_high = _row_distances(x, block, model.centers_high, model.feature_scaler, name)
+    time, each row from the ``centers_low`` row of its nearest high-dimensional center.
+    A last block of fewer than half that many rows joins the block before it,
+    which then holds up to half again as many: each step's fixed cost is paid
+    once for both, and the distances and the gradient still split them where
+    they meet, so each row keeps the bits it has in its own block."""
+    start, step = 0, transform_block_rows(model)
+    while start < len(rows):
+        stop = start + step if len(rows) - start - step >= step // 2 else len(rows)
+        block, start = rows[start:stop], stop
+        # a wide row's distance comes from a matrix product, whose rounding
+        # can depend on the rows it is taken with
+        dist_high = np.vstack([
+            _row_distances(x, block[i:i + step], model.centers_high, model.feature_scaler, name)
+            for i in range(0, len(block), step)])
         u_high = mb.membership_matrix(dist_high.T, model.sigma_high)
         # argmax membership == argmin distance, and stays well defined when every
         # membership in a row underflows to zero; a hand-built model's centers
@@ -494,6 +491,7 @@ def _check_ranges(model: CbmapModel) -> CbmapModel:
         if sigma < _MIN_BANDWIDTH:
             raise ValueError(f"model field {name!r} must be at least {_MIN_BANDWIDTH:.4g}, "
                              f"got {sigma}")
-    if np.abs(model.centers_low).max() > _MAX_POSITION:
+    # as a float64: beside a float32 array, 1e150 would be cast to float32 and overflow
+    if float(np.abs(model.centers_low).max()) > _MAX_POSITION:
         raise ValueError(f"model field 'centers_low' has entries beyond +-{_MAX_POSITION:g}")
     return model

@@ -1144,6 +1144,26 @@ class TestManifest:
         assert not (tmp_path / "roll.manifest.json").exists()
 
 
+    @pytest.mark.parametrize("command", ["fit", "transform"])
+    def test_manifest_path_that_is_a_directory_leaves_no_output(self, tmp_path, capsys,
+                                                                command):
+        table, model = tmp_path / "s.csv", tmp_path / "emb.model.json"
+        assert main(["generate", "s_curve", "--n", "60", "-o", str(table)]) == 0
+        assert main(["fit", str(table), "--k", "4", "--max-iter", "10", "--label-col", "label",
+                     "-o", str(tmp_path / "emb.csv")]) == 0
+        manifest = tmp_path / "out" / "res.csv.manifest.json"
+        manifest.mkdir(parents=True)
+        argv = {"fit": ["fit", str(table), "--k", "4", "--max-iter", "10"],
+                "transform": ["transform", str(model), str(table)]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--label-col", "label", "-o", str(manifest.parent / "res.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and err[0].endswith(f"'{manifest}'")
+        # the command did not run: no output, model, loss or temporary file
+        assert list(manifest.parent.iterdir()) == [manifest]
+        assert list(manifest.iterdir()) == []
+
     def test_every_command_records_its_settings(self, tmp_path):
         table, emb = tmp_path / "s.csv", tmp_path / "emb.csv"
         runs = [

@@ -19,7 +19,7 @@ from cbmap import clustering as cl
 from cbmap import embedder as em
 from cbmap import membership as mb
 from cbmap.clustering import KmeansConfig, assign_labels
-from cbmap.linalg_core import euclidean_distance_matrix, row_blocks, zscore_normalize
+from cbmap.linalg_core import euclidean_distance_matrix, zscore_normalize
 from cbmap.metrics import global_score, knn_accuracy
 from _util import lifted_roll, two_blobs
 
@@ -277,9 +277,11 @@ class TestFit:
         assert peaks[40_000] - peaks[20_000] < 48 * 20_000
 
     def test_wide_rows_left_out_are_placed_without_a_copy_of_their_block(self):
-        # the rows outside the sample are placed one transform block of up to
-        # 1,638 rows at a time (k = 40); their distances are taken a row block
-        # at a time, so no (block, d) copy of x, 6.7 MB at d = 512, is held
+        # the rows outside the sample are placed one transform block of 819
+        # rows at a time (k = 40); their distances are taken a row block at a
+        # time, so no (block, d) copy of x is held. The bound is half of a
+        # 1,638-row copy at d = 512: a copy of one 819-row block, 3.35 MB, on
+        # top of fit's own peak (about 1.95 MB) still exceeds it
         x = lifted_roll(4000, 512, seed=0)
         cfg = cbmap.CbmapConfig(n_clusters=40, max_iter=2,
                                 clustering=KmeansConfig(k=40, max_iters=2))
@@ -291,7 +293,7 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert result.sample.size < 4000
-        assert peak < em.transform_block_rows(result.model) * 512 * 8 / 2
+        assert peak < 3.35e6
 
     def test_loop_checks_only_the_arrays_the_step_is_given(self, monkeypatch):
         # per iteration: the step's distance call (2) and the bandwidth's
@@ -597,11 +599,18 @@ class TestTransform:
         model = cbmap.fit(roll.data[:2000], cbmap.CbmapConfig(n_clusters=40, max_iter=30,
                                                               seed=0)).model
         x = roll.data[2000:]
-        blocks = list(row_blocks(len(x), 40, em._TRANSFORM_CHUNKS))
-        assert len(blocks) == 4
+        step = em.transform_block_rows(model)
+        starts = range(0, len(x), step)
+        assert len(starts) == 7
         whole = cbmap.transform(model, x, iters=20)
-        # the rows on either side of each block boundary, and a sample of the rest
-        edges = [b.start + i for b in blocks[1:] for i in (-2, -1, 0, 1)]
+        # each block on its own gives its rows' bytes
+        for start in starts:
+            block = cbmap.transform(model, x[start:start + step], iters=20)
+            assert block.tobytes() == whole[start:start + step].tobytes()
+        # a row alone is a matrix-vector product in the gradient, which may
+        # round differently: the rows on either side of each block boundary,
+        # and a sample of the rest, agree to rounding
+        edges = [start + i for start in starts[1:] for i in (-2, -1, 0, 1)]
         for i in sorted({*edges, *range(0, len(x), 101)}):
             np.testing.assert_allclose(cbmap.transform(model, x[i:i + 1], iters=20),
                                        whole[i:i + 1], rtol=0.0, atol=1e-12)
@@ -609,6 +618,57 @@ class TestTransform:
         parts = np.vstack([cbmap.transform(model, x[i:i + 1000], iters=20)
                            for i in range(0, len(x), 1000)])
         np.testing.assert_allclose(parts, whole, rtol=0.0, atol=1e-12)
+
+    def test_a_last_block_under_half_the_rows_joins_the_one_before(self, monkeypatch):
+        # each block takes `iters` descent steps: B + B // 2 - 1 rows are one
+        # block, B + B // 2 rows two
+        roll = cbmap.make_swiss_roll(3000, seed=1)
+        model = cbmap.fit(roll.data[:600], cbmap.CbmapConfig(n_clusters=40, max_iter=5)).model
+        step, iters = em.transform_block_rows(model), 3
+        sizes = []
+
+        def counted(y, *args, **kwargs):
+            sizes.append(len(y))
+            return descent_step(y, *args, **kwargs)
+
+        descent_step = em._descent_step
+        monkeypatch.setattr(em, "_descent_step", counted)
+        joined = step + step // 2 - 1
+        for n, blocks in ((joined, [joined]), (joined + 1, [step, step // 2])):
+            sizes.clear()
+            cbmap.transform(model, roll.data[600:600 + n], iters=iters)
+            assert sizes == [rows for rows in blocks for _ in range(iters)]
+
+    def test_wide_rows_in_a_joined_last_block_keep_their_own_blocks_bits(self):
+        # wide rows' distances come from a matrix product, whose rounding may
+        # depend on the rows it is taken with; a joined last block takes them
+        # for each of its two parts, so `cbmap transform`, which streams blocks
+        # of transform_block_rows, gives the whole-set call's bytes
+        x = lifted_roll(4000, 256, seed=4)
+        model = cbmap.fit(x[:1500], cbmap.CbmapConfig(n_clusters=20, max_iter=5)).model
+        step = em.transform_block_rows(model)
+        x = x[1500:1500 + step + step // 2 - 1]
+        whole = cbmap.transform(model, x, iters=2)
+        parts = np.vstack([cbmap.transform(model, x[:step], iters=2),
+                           cbmap.transform(model, x[step:], iters=2)])
+        assert parts.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_memory_peaks_below_five_membership_arrays(self, k):
+        # a block holds one gradient block of rows, 32,768 elements of each
+        # (k, rows) array: the high and low memberships and the gradient's
+        # weights; blocks of twice the rows would hold arrays twice the size
+        roll = cbmap.make_swiss_roll(10_000, seed=2)
+        model = cbmap.fit(roll.data[:2000], cbmap.CbmapConfig(n_clusters=k, max_iter=5)).model
+        x = roll.data[2000:]
+        cbmap.transform(model, x[:100], iters=2)  # one-time set-up
+        tracemalloc.start()
+        try:
+            cbmap.transform(model, x, iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 32_768 * 8
 
     def test_step_checks_only_its_distance_call(self, blob_fit, monkeypatch):
         # per step: the two arrays of the step's distance call; loss_gradient
@@ -622,11 +682,13 @@ class TestTransform:
             per_run.append(calls["check"])
         assert (per_run[1] - per_run[0]) / 2 == 2
 
-    def test_model_centers_of_another_dtype_give_the_same_rows(self, blob_fit):
-        # the descent starts from float64 copies of a hand-built model's centers
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_model_centers_of_another_dtype_give_the_same_rows(self, blob_fit, dtype):
+        # the descent starts from float64 copies of a hand-built model's
+        # centers, and their range is checked without a float32 overflow
         data, result = blob_fit
         model = replace(result.model, centers_low=np.round(4.0 * result.model.centers_low)
-                        .astype(np.int64))
+                        .astype(dtype))
         as_float64 = replace(model, centers_low=model.centers_low.astype(np.float64))
         np.testing.assert_array_equal(cbmap.transform(model, data[:20], iters=30),
                                       cbmap.transform(as_float64, data[:20], iters=30))
