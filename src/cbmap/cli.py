@@ -170,11 +170,8 @@ def render_scatter_svg(points, labels=None) -> str:
     height = (ymax - ymin) + 2.0 * ypad
     radius = 0.008 * max(width, height)
 
-    if labels is None:
-        groups = [(None, np.arange(pts.shape[0]))]
-    else:
-        labels = np.asarray(labels)
-        groups = [(int(c), np.flatnonzero(labels == c)) for c in np.unique(labels)]
+    labels = np.zeros(pts.shape[0]) if labels is None else np.asarray(labels)
+    groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
@@ -183,7 +180,7 @@ def render_scatter_svg(points, labels=None) -> str:
         # flip the y axis so larger values render higher
         f'<g transform="matrix(1 0 0 -1 0 {2.0 * y0 + height})">',
     ]
-    for slot, (_, idx) in enumerate(groups):
+    for slot, idx in enumerate(groups):
         parts.append(f'<g fill="{PALETTE[slot % len(PALETTE)]}">')
         for i in idx:
             parts.append(f'<circle cx="{pts[i, 0]:.6g}" cy="{pts[i, 1]:.6g}" r="{radius:.6g}"/>')

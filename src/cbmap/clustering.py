@@ -157,13 +157,14 @@ def _kmeans_plusplus(x, k, rng):
     centers = np.empty((k, d))
     centers[0] = x[int(rng.integers(n))]
     closest_sq = np.full(n, np.inf)
-    x_sq = np.einsum("ij,ij->i", x, x)
+    x_sq = np.einsum("ij,ij->i", x, x) if d >= _EXPANDED_MIN_D else None
     for j in range(1, k):
         # only the draw of a next center needs the distance to the last one
         last = centers[j - 1 : j]
         new_sq = _settled_sq_distances(x, last, x_sq)
-        new_sq = euclidean_distance_matrix(x, last)[:, 0] ** 2 if new_sq is None else new_sq[:, 0]
-        np.minimum(closest_sq, new_sq, out=closest_sq)
+        if new_sq is None:
+            new_sq = euclidean_distance_matrix(x, last, squared=True)
+        np.minimum(closest_sq, new_sq[:, 0], out=closest_sq)
         with np.errstate(over="ignore"):  # finite squares whose sum overflows
             total = closest_sq.sum()
         if not np.isfinite(total):
@@ -211,11 +212,9 @@ def _reseed_empty(x, centers):
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
-        dist_to_own = np.empty(x.shape[0])
-        for rows in row_blocks(x.shape[0], x.shape[1]):
-            dist_to_own[rows] = np.linalg.norm(x[rows] - centers[labels[rows]], axis=1)
-        far = int(np.argmax(dist_to_own))
-        if dist_to_own[far] <= 0:
+        own_sq = _own_sq_distances(x, centers, labels)
+        far = int(np.argmax(own_sq))
+        if own_sq[far] <= 0:
             break
         centers = centers.copy()
         centers[empty[0]] = x[far]
@@ -223,18 +222,15 @@ def _reseed_empty(x, centers):
     return centers, labels
 
 
-def _inertia(x, centers, labels):
-    """Sum of squared distances to the assigned centers.
-
-    Each row's squared distance is formed in cache-sized blocks of rows, and
-    the (n,) result is summed once, so the value does not depend on the
-    block size."""
-    per_row = np.empty(x.shape[0])
-    for rows in row_blocks(x.shape[0], x.shape[1]):
+def _own_sq_distances(x, centers, labels) -> np.ndarray:
+    """Each row's squared distance to its own center, formed in cache-sized
+    blocks of rows, so its bits do not depend on the block size."""
+    own_sq = np.empty(x.shape[0])
+    for rows in row_blocks(*x.shape):
         diff = centers[labels[rows]]
         diff -= x[rows]
-        np.einsum("ij,ij->i", diff, diff, out=per_row[rows])
-    return float(per_row.sum())
+        np.einsum("ij,ij->i", diff, diff, out=own_sq[rows])
+    return own_sq
 
 
 def _lloyd_once(x, k, max_iters, rng):
@@ -244,7 +240,7 @@ def _lloyd_once(x, k, max_iters, rng):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return centers, labels, _inertia(x, centers, labels)
+    return centers, labels, float(_own_sq_distances(x, centers, labels).sum())
 
 
 def _minibatch(x, k, max_iters, rng):
@@ -262,4 +258,4 @@ def _minibatch(x, k, max_iters, rng):
         eta = (sizes[hit] / counts[hit])[:, None]
         centers[hit] = (1.0 - eta) * centers[hit] + eta * means[hit]
     centers, labels = _reseed_empty(x, centers)
-    return centers, labels, _inertia(x, centers, labels)
+    return centers, labels, float(_own_sq_distances(x, centers, labels).sum())

@@ -105,30 +105,20 @@ class FitResult:
     sample: np.ndarray  # (s,) sorted indices of the descended rows
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators; persists across iterations."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(mean=np.zeros(shape), variance=np.zeros(shape))
-
-
-def adam_update(y, grad, state: AdamState, step_index: int):
-    """One bias-corrected Adam step of size ``ADAM_LEARNING_RATE``; returns the
-    new positions and state. ``step_index`` counts from 1."""
+def adam_update(y, grad, moments, step_index: int) -> None:
+    """One bias-corrected Adam step of size ``ADAM_LEARNING_RATE``, written into
+    the positions ``y`` and the stacked (2, n, m) first and second ``moments`` in
+    place. ``step_index`` counts from 1."""
     # the textbook update below, one operation at a time in its own order, so
-    # to its bits, with three new arrays and one scratch array in place of
-    # a temporary per operation:
+    # to its bits, with one new array (the step) and one scratch array in
+    # place of a temporary per operation:
     #   mean = b1 m + (1 - b1) g,  variance = b2 v + (1 - b2) g g,
     #   y - lr (mean / c1) / (sqrt(variance / c2) + eps)
-    mean = state.mean * ADAM_BETA1
+    mean, variance = moments
+    mean *= ADAM_BETA1
     scratch = grad * (1.0 - ADAM_BETA1)
     mean += scratch
-    variance = state.variance * ADAM_BETA2
+    variance *= ADAM_BETA2
     np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= grad
     variance += scratch
@@ -138,7 +128,7 @@ def adam_update(y, grad, state: AdamState, step_index: int):
     scratch += ADAM_EPS
     step *= ADAM_LEARNING_RATE
     step /= scratch
-    return np.subtract(y, step, out=step), AdamState(mean=mean, variance=variance)
+    y -= step
 
 
 def init_embedding(labels, centers_low, seed) -> np.ndarray:
@@ -149,16 +139,17 @@ def init_embedding(labels, centers_low, seed) -> np.ndarray:
     return centers_low[labels] + noise
 
 
-def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
-    """One Adam step of the points toward the high-dimensional memberships.
+def _descent_step(y, centers_low, sigma, u_high, moments, step_index, loss=None) -> float:
+    """One Adam step of the points ``y`` toward the high-dimensional memberships.
 
-    Shared by the fit and transform loops; returns the new positions, the
-    new Adam state and the loss at the positions before the step. ``u_high``
-    is the C-contiguous (k, n) centers-by-points membership matrix, so the
-    step's elementwise passes and reductions run along the points. A given
-    ``loss`` scales the gradient in place of the computed one. The entry
-    points start positions and centers within +-_MAX_POSITION, so every squared
-    distance is finite, and a step that moves a position beyond it raises ValueError.
+    Shared by the fit and transform loops; moves ``y`` and its Adam
+    ``moments`` in place and returns the loss at the positions before the
+    step. ``u_high`` is the C-contiguous (k, n) centers-by-points membership
+    matrix, so the step's elementwise passes and reductions run along the
+    points. A given ``loss`` scales the gradient in place of the computed one.
+    The entry points start positions and centers within +-_MAX_POSITION, so
+    every squared distance is finite, and a step that moves a position beyond
+    it raises ValueError.
     """
     # the (k, n) memberships exp(-dist^2 / (2 sigma^2)), formed in place from
     # the squared center-to-point distances; a product that overflows to -inf
@@ -173,11 +164,11 @@ def _descent_step(y, centers_low, sigma, u_high, state, step_index, loss=None):
     del u_low  # so the Adam step's (n, m) temporaries do not sit beside it
     # an overflowing step is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y, state = adam_update(y, grad, state, step_index)
+        adam_update(y, grad, moments, step_index)
     if not np.abs(y).max() <= _MAX_POSITION:
         raise ValueError(f"the points lie beyond +-{_MAX_POSITION:g} after descent step "
                          f"{step_index}")
-    return y, state, loss
+    return loss
 
 
 def _row_distances(x, rows, centers, scaler=None, name="x") -> np.ndarray:
@@ -226,7 +217,7 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     low-dimensional membership matrix, take an Adam step on the point
     positions along the loss gradient, recompute centers from the original
     cluster labels, z-score them, and refresh the low bandwidth. The Adam
-    state is carried across iterations, not reset. The rows left out of the
+    moments are carried across iterations, not reset. The rows left out of the
     descent, none up to ``FIT_SAMPLE_ROWS``, are then placed against the fitted
     model as :func:`transform` places its rows, with ``FIT_REST_ITERS`` steps.
     """
@@ -271,15 +262,15 @@ def fit(x, cfg: CbmapConfig) -> FitResult:
     s_low = mb.sigma_low(centers_low)
 
     y = init_embedding(sample_labels, centers_low, seed_points)
-    state = AdamState.zeros(y.shape)
+    moments = np.zeros((2,) + y.shape)
     history = np.empty(cfg.max_iter)
     for it in range(cfg.max_iter):
-        y, state, history[it] = _descent_step(y, centers_low, s_low, u_high, state, it + 1)
+        history[it] = _descent_step(y, centers_low, s_low, u_high, moments, it + 1)
         # the loop's own centers are finite, so they skip zscore_normalize's check
         centers_low = update_centers(y, sample_labels, centers_low)
         centers_low = apply_scaler(centers_low, *fit_scaler(centers_low))
         s_low = mb.sigma_low(centers_low)
-    del u_high, state  # so they do not sit beside each placement block
+    del u_high, moments  # so they do not sit beside each placement block
 
     model = CbmapModel(centers_high, centers_low, s_high, s_low)
     embedding = np.empty((n, cfg.out_dim))
@@ -304,11 +295,11 @@ def transform(model: CbmapModel, x_new, iters: int = 300) -> np.ndarray:
     lie within float64 distances of its centers.
     """
     x = as_data_matrix(x_new, "x_new")
+    _check_ranges(model)
     d = model.centers_high.shape[1]
     if x.shape[1] != d:
         raise ValueError(f"x_new has {x.shape[1]} columns, model expects {d}")
     check_count(iters, "iters", 1)
-    _check_ranges(model)
     y = np.empty((x.shape[0], model.centers_low.shape[1]))
     _place(model, x, range(x.shape[0]), iters, y, "x_new")
     return y
@@ -345,12 +336,12 @@ def _place(model: CbmapModel, x, rows, iters: int, out, name="x") -> None:
         # may be of another dtype, and the descent takes float64 positions
         y = model.centers_low[np.argmin(dist_high, axis=1)].astype(np.float64, copy=False)
         del dist_high
-        state = AdamState.zeros(y.shape)
+        moments = np.zeros((2,) + y.shape)
         for it in range(iters):
             # loss=1 makes loss_gradient the gradient of 1/2 ||U_low - U_high||^2,
             # which has no whole-set factor, so each row descends on its own
-            y, state, _ = _descent_step(y, model.centers_low, model.sigma_low, u_high, state,
-                                        it + 1, loss=1.0)
+            _descent_step(y, model.centers_low, model.sigma_low, u_high, moments, it + 1,
+                          loss=1.0)
         del u_high  # so it does not sit beside the next block's distances
         out[block] = y
 
@@ -398,9 +389,7 @@ def _reshape(values, shape, what):
     expected = math.prod(shape)
     if arr.shape[0] != expected:
         raise ValueError(f"model field {what!r} has {arr.size} values, expected {expected}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"model field {what!r} contains non-finite values")
-    return arr.reshape(shape)
+    return arr.reshape(shape)  # _check_ranges checks the values
 
 
 def _typed(doc, key, kind):
@@ -482,15 +471,25 @@ def _model_from_doc(doc) -> CbmapModel:
 
 
 def _check_ranges(model: CbmapModel) -> CbmapModel:
-    """``model``, if its bandwidths and ``centers_low`` (where transform starts
-    its points) lie in the ranges the descent relies on."""
-    if model.sigma_high <= 0 or model.sigma_low <= 0:
-        raise ValueError(
-            f"bandwidths must be positive, got {model.sigma_high} and {model.sigma_low}")
-    for name, sigma in (("sigma_high", model.sigma_high), ("sigma_low", model.sigma_low)):
-        if sigma < _MIN_BANDWIDTH:
-            raise ValueError(f"model field {name!r} must be at least {_MIN_BANDWIDTH:.4g}, "
-                             f"got {sigma}")
+    """``model``, if its arrays have the shapes (k, d), (k, m) and (d,) and finite
+    entries, and its bandwidths and ``centers_low`` (where transform starts its
+    points) lie in the ranges the descent relies on; else a ValueError naming the field."""
+    high, low = np.shape(model.centers_high), np.shape(model.centers_low)
+    k, d = high if len(high) == 2 else ("k", "d")  # names: centers_high fails first
+    arrays = [("centers_high", model.centers_high, len(high) == 2, "(k, d)"),
+              ("centers_low", model.centers_low, len(low) == 2 and low[0] == k, f"({k}, m)")]
+    for part, values in zip(("mean", "std"), model.feature_scaler or ()):
+        arrays.append((f"feature_scaler.{part}", values, np.shape(values) == (d,), f"({d},)"))
+    for name, values, fits, want in arrays:
+        if not fits:
+            raise ValueError(f"model field {name!r} has shape {np.shape(values)}, expected {want}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"model field {name!r} contains non-finite values")
+    for name in ("sigma_high", "sigma_low"):
+        sigma = getattr(model, name)
+        if not _MIN_BANDWIDTH <= sigma < math.inf:  # NaN fails it too
+            raise ValueError(f"model field {name!r} must be at least {_MIN_BANDWIDTH:.4g} and "
+                             f"finite, got {sigma}")
     # as a float64: beside a float32 array, 1e150 would be cast to float32 and overflow
     if float(np.abs(model.centers_low).max()) > _MAX_POSITION:
         raise ValueError(f"model field 'centers_low' has entries beyond +-{_MAX_POSITION:g}")

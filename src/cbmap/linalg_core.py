@@ -110,12 +110,6 @@ def row_blocks(n: int, row_elems: int, chunks: int = 1):
         yield slice(start, start + step)
 
 
-def max_block_rows(n: int, row_elems: int) -> int:
-    """Rows in the first, and largest, of ``row_blocks(n, row_elems)``: a
-    buffer of this many rows holds any of them."""
-    return min(n, block_rows(row_elems))
-
-
 def euclidean_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of ``a`` (n, d) and ``b`` (k, d).
 
@@ -201,7 +195,7 @@ def _scaled_column_sums(m, exp, mean=None) -> np.ndarray:
     from ``mean``, summed row by row over blocks of rows."""
     n, d = m.shape
     # row 0 holds the running sum, the rows below it one block's terms
-    buf = np.empty((max_block_rows(n, d) + 1, d))
+    buf = np.empty((min(n, block_rows(d)) + 1, d))
     total = None
     for rows in row_blocks(n, d):
         block = m[rows]

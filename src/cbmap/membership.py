@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg_core import euclidean_distance_matrix, max_block_rows, row_blocks
+from .linalg_core import block_rows, euclidean_distance_matrix, row_blocks
 
 # Below this loss the gradient is defined as exactly zero (the analytic
 # expression divides by the loss).
@@ -92,7 +92,7 @@ def frobenius_loss(u_low, u_high) -> float:
     reuses, so no full-size difference matrix is formed.
     """
     total = 0.0
-    buf = np.empty(max_block_rows(*u_low.shape) * u_low.shape[1])
+    buf = np.empty(min(u_low.shape[0], block_rows(u_low.shape[1])) * u_low.shape[1])
     for rows in row_blocks(*u_low.shape):
         block = u_low[rows]
         diff = np.subtract(block, u_high[rows], out=buf[:block.size].reshape(block.shape))
@@ -123,7 +123,7 @@ def loss_gradient(y, c_low, sigma: float, u_low, u_high, loss: float) -> np.ndar
         return np.zeros_like(y)
     k = c_low.shape[0]
     grad = np.empty_like(y)
-    buf = np.empty(max_block_rows(y.shape[0], k) * k)
+    buf = np.empty(min(y.shape[0], block_rows(k)) * k)
     for pts in row_blocks(y.shape[0], k):
         block = u_low[:, pts]
         w = buf[:block.size].reshape(block.shape)

@@ -1077,6 +1077,13 @@ class TestPlot:
         with pytest.raises(ValueError, match="--dim 2"):
             render_scatter_svg(np.zeros((3, 4)))
 
+    def test_render_groups_rows_by_label_of_any_kind(self):
+        # labels are compared, never converted: strings color as their codes do
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+        named = render_scatter_svg(points, np.array(["a", "b", "a"]))
+        assert named == render_scatter_svg(points, np.array([0, 1, 0]))
+        assert named.count("<g fill=") == 2
+
 
 @pytest.mark.parametrize("cell", ["nan", "1e400"])
 @pytest.mark.parametrize("command", ["fit", "transform", "benchmark", "plot"])

@@ -414,7 +414,9 @@ class TestKmeansFit:
         centers = rng.normal(size=(7, d))
         labels = rng.integers(0, 7, size=n)
         diff = centers[labels] - x
-        assert cl._inertia(x, centers, labels) == float(np.einsum("ij,ij->i", diff, diff).sum())
+        whole = np.einsum("ij,ij->i", diff, diff)
+        # so the drivers' inertia, their sum, is the whole array's too
+        assert cl._own_sq_distances(x, centers, labels).tobytes() == whole.tobytes()
 
     def test_reseeding_moves_centers_onto_the_whole_array_farthest_points(self):
         # three centers far from every row stay empty; each is moved in turn
@@ -547,14 +549,15 @@ class TestKmeansFit:
     def test_seeding_makes_one_distance_call_per_drawn_center(self, monkeypatch, k):
         calls = []
 
-        def counted(a, b):
-            calls.append(len(b))
-            return euclidean_distance_matrix(a, b)
+        def counted(a, b, squared=False):
+            calls.append((len(b), squared))
+            return euclidean_distance_matrix(a, b, squared)
 
         monkeypatch.setattr(cl, "euclidean_distance_matrix", counted)
         x = np.random.default_rng(36).normal(size=(50, 3))
         cl._kmeans_plusplus(x, k, np.random.default_rng(0))
-        assert calls == [1] * (k - 1)
+        # the draws weigh squared distances, taken as such
+        assert calls == [(1, True)] * (k - 1)
 
     def test_more_clusters_than_distinct_points(self):
         # seeding falls back to uniform draws once every point sits on a

@@ -33,49 +33,48 @@ def blob_fit():
 class TestAdamUpdate:
     def test_zero_gradient_leaves_positions_unchanged(self):
         y = np.array([[1.0, -2.0], [0.5, 3.0]])
-        out, state = em.adam_update(y, np.zeros_like(y), em.AdamState.zeros(y.shape), 1)
-        np.testing.assert_array_equal(out, y)
-        np.testing.assert_array_equal(state.mean, np.zeros_like(y))
+        before = y.copy()
+        moments = np.zeros((2,) + y.shape)
+        em.adam_update(y, np.zeros_like(y), moments, 1)
+        np.testing.assert_array_equal(y, before)
+        np.testing.assert_array_equal(moments, np.zeros_like(moments))
 
     def test_first_step_magnitude_is_learning_rate(self):
         # with bias correction the first step is lr * g / (|g| + eps)
         y = np.array([[1.0]])
-        out, _ = em.adam_update(y, np.array([[2.0]]), em.AdamState.zeros((1, 1)), 1)
-        assert out[0, 0] == pytest.approx(1.0 - em.ADAM_LEARNING_RATE, abs=1e-6)
+        em.adam_update(y, np.array([[2.0]]), np.zeros((2, 1, 1)), 1)
+        assert y[0, 0] == pytest.approx(1.0 - em.ADAM_LEARNING_RATE, abs=1e-6)
 
     def test_first_step_follows_gradient_sign(self):
         y = np.zeros((1, 2))
         grad = np.array([[3.0, -0.01]])
-        out, _ = em.adam_update(y, grad, em.AdamState.zeros((1, 2)), 1)
+        em.adam_update(y, grad, np.zeros((2, 1, 2)), 1)
         lr = em.ADAM_LEARNING_RATE
-        np.testing.assert_allclose(out, [[-lr, lr]], atol=1e-6)
+        np.testing.assert_allclose(y, [[-lr, lr]], atol=1e-6)
 
     def test_scalar_quadratic_descends(self):
         y = np.array([[1.0]])
-        state = em.AdamState.zeros((1, 1))
+        moments = np.zeros((2, 1, 1))
         seen = [1.0]
         for step in range(1, 11):
-            y, state = em.adam_update(y, 2.0 * y, state, step)
+            em.adam_update(y, 2.0 * y, moments, step)
             seen.append(abs(y[0, 0]))
         assert np.all(np.diff(seen) < 0.0)
 
     def test_matches_the_textbook_formula_bit_for_bit(self):
         rng = np.random.default_rng(5)
         y, grad = rng.normal(size=(2, 500, 2))
-        state = em.AdamState(rng.normal(size=(500, 2)), rng.uniform(size=(500, 2)))
-        before = (state.mean.copy(), state.variance.copy())
+        moments = np.stack([rng.normal(size=(500, 2)), rng.uniform(size=(500, 2))])
         b1, b2 = em.ADAM_BETA1, em.ADAM_BETA2
         for t in (1, 2, 50, 1000):
-            out, new = em.adam_update(y, grad, state, t)
-            mean = b1 * state.mean + (1.0 - b1) * grad
-            variance = b2 * state.variance + (1.0 - b2) * grad * grad
+            mean = b1 * moments[0] + (1.0 - b1) * grad
+            variance = b2 * moments[1] + (1.0 - b2) * grad * grad
             expected = y - em.ADAM_LEARNING_RATE * (mean / (1.0 - b1**t)) / (
                 np.sqrt(variance / (1.0 - b2**t)) + em.ADAM_EPS)
-            for got, want in ((out, expected), (new.mean, mean), (new.variance, variance)):
+            # nothing is returned: the positions and both moments hold the step
+            assert em.adam_update(y, grad, moments, t) is None
+            for got, want in ((y, expected), (moments[0], mean), (moments[1], variance)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # the state passed in is left as it was
-        np.testing.assert_array_equal(state.mean, before[0])
-        np.testing.assert_array_equal(state.variance, before[1])
 
 
 def _count_calls(monkeypatch) -> dict:
@@ -98,13 +97,14 @@ def _count_calls(monkeypatch) -> dict:
     return calls
 
 
-def _reference_step(y, centers_low, sigma, u_high, state, step_index):
-    """The descent step composed from the membership routines, distances first."""
+def _reference_step(y, centers_low, sigma, u_high, moments, step_index):
+    """The descent step composed from the membership routines, distances first;
+    moves ``y`` and ``moments`` in place and returns the loss."""
     u_low = mb.membership_matrix(euclidean_distance_matrix(y, centers_low), sigma)
     loss = mb.frobenius_loss(u_low, u_high)
     grad = mb.loss_gradient(y, centers_low, sigma, u_low.T, u_high.T, loss)
-    y, state = em.adam_update(y, grad, state, step_index)
-    return y, state, loss
+    em.adam_update(y, grad, moments, step_index)
+    return loss
 
 
 class TestDescentStep:
@@ -117,13 +117,13 @@ class TestDescentStep:
         u_high = mb.membership_matrix(euclidean_distance_matrix(target, centers), sigma)
         # the step takes its memberships centers x points
         u_high_cm = np.ascontiguousarray(u_high.T)
-        y = ref = target + rng.normal(scale=0.5, size=target.shape)
-        state = ref_state = em.AdamState.zeros(y.shape)
+        y = target + rng.normal(scale=0.5, size=target.shape)
+        ref = y.copy()
+        moments, ref_moments = np.zeros((2, 2) + y.shape)
         losses = []
         for it in range(1, 51):
-            y, state, loss = em._descent_step(y, centers, sigma, u_high_cm, state, it)
-            ref, ref_state, ref_loss = _reference_step(ref, centers, sigma, u_high, ref_state,
-                                                       it)
+            loss = em._descent_step(y, centers, sigma, u_high_cm, moments, it)
+            ref_loss = _reference_step(ref, centers, sigma, u_high, ref_moments, it)
             assert abs(loss - ref_loss) <= 1e-12
             losses.append(loss)
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-10)
@@ -246,16 +246,16 @@ class TestFit:
         u_high = np.ascontiguousarray(
             mb.membership_matrix(euclidean_distance_matrix(y[:1], centers), sigma).T)
         u_high = np.hstack([u_high, np.zeros((4, 1))])
-        state = em.AdamState.zeros(y.shape)
+        moments = np.zeros((2,) + y.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not fails:
-                out, _, _ = em._descent_step(y, centers, sigma, u_high, state, 1)
-                assert out[1, 0] == start
+                em._descent_step(y, centers, sigma, u_high, moments, 1)
+                assert y[1, 0] == start
                 return
             with pytest.raises(ValueError, match=re.escape(
                     "the points lie beyond +-1e+150 after descent step 1")):
-                em._descent_step(y, centers, sigma, u_high, state, 1)
+                em._descent_step(y, centers, sigma, u_high, moments, 1)
 
     def test_memory_grows_with_the_rows_not_with_rows_times_clusters(self):
         # the sample's (s, k) distances and memberships, the descent's (k, s)
@@ -699,8 +699,8 @@ class TestTransform:
             cbmap.transform(result.model, np.zeros((2, 3)), iters=0)
 
     @pytest.mark.parametrize("field, scale, message", [
-        ("sigma_low", 0.0, "bandwidths must be positive"),
-        ("sigma_low", -1.0, "bandwidths must be positive"),
+        ("sigma_low", 0.0, "model field 'sigma_low' must be at least 1.492e-154"),
+        ("sigma_low", -1.0, "model field 'sigma_low' must be at least 1.492e-154"),
         ("centers_low", 1e200, "model field 'centers_low' has entries beyond +-1e+150"),
         ("sigma_low", 1e-200, "model field 'sigma_low' must be at least 1.492e-154"),
         ("sigma_high", 1e-200, "model field 'sigma_high' must be at least 1.492e-154"),
@@ -710,6 +710,41 @@ class TestTransform:
         # transform applies the model reader's range checks to a hand-built model
         data, result = blob_fit
         model = replace(result.model, **{field: getattr(result.model, field) * scale})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                cbmap.transform(model, data[:5])
+
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: {"sigma_high": np.nan}, "model field 'sigma_high' must be at least 1.492e-154"),
+        (lambda m: {"sigma_low": np.nan}, "model field 'sigma_low' must be at least 1.492e-154"),
+        (lambda m: {"sigma_high": np.inf},
+         "model field 'sigma_high' must be at least 1.492e-154 and finite, got inf"),
+        (lambda m: {"centers_high": np.where(np.eye(*m.centers_high.shape) > 0, np.nan,
+                                             m.centers_high)},
+         "model field 'centers_high' contains non-finite values"),
+        (lambda m: {"centers_low": np.where(np.eye(*m.centers_low.shape) > 0, np.nan,
+                                            m.centers_low)},
+         "model field 'centers_low' contains non-finite values"),
+        (lambda m: {"feature_scaler": (np.array([0.0, np.nan, 0.0]), np.ones(3))},
+         "model field 'feature_scaler.mean' contains non-finite values"),
+        (lambda m: {"feature_scaler": (np.zeros(3), np.array([1.0, np.nan, 1.0]))},
+         "model field 'feature_scaler.std' contains non-finite values"),
+        (lambda m: {"centers_high": m.centers_high.ravel()},
+         "model field 'centers_high' has shape (12,), expected (k, d)"),
+        (lambda m: {"centers_low": m.centers_low[:2]},
+         "model field 'centers_low' has shape (2, 2), expected (4, m)"),
+        (lambda m: {"feature_scaler": (np.zeros(2), np.ones(3))},
+         "model field 'feature_scaler.mean' has shape (2,), expected (3,)"),
+    ], ids=["nan-sigma-high", "nan-sigma-low", "inf-sigma-high", "nan-center-high",
+            "nan-center-low", "nan-scaler-mean", "nan-scaler-std", "flat-centers-high",
+            "half-centers-low", "short-scaler-mean"])
+    def test_hand_built_model_the_reader_would_reject_is_named(self, blob_fit, change, message):
+        # NaN passes every range comparison, and a misshapen array would only
+        # fail where the descent indexes it; each is named before the descent
+        data, result = blob_fit
+        model = replace(result.model, **change(result.model))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -972,7 +1007,7 @@ class TestModelFormat:
         ({"sigma_high": None}, "model field 'sigma_high' must be float: None"),
         ({"sigma_high": [0.5]}, r"model field 'sigma_high' must be float: \[0.5\]"),
         ({"sigma_low": "1.25"}, "model field 'sigma_low' must be float: '1.25'"),
-        ({"sigma_high": 0.0}, "bandwidths must be positive"),
+        ({"sigma_high": 0.0}, "model field 'sigma_high' must be at least 1.492e-154"),
         # what a fit of input scaled below 1e-154 makes
         ({"sigma_high": 1e-160}, "model field 'sigma_high' must be at least 1.492e-154"),
         ({"centers_high": np.where(np.eye(3, 4) > 0, np.nan, _golden_model().centers_high)},
